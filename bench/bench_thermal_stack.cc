@@ -1,9 +1,10 @@
 /**
  * @file
  * Paper section 4.3 thermal study: maximum temperature of the 2-die
- * stack for each LLC technology (HotSpot-equivalent steady-state grid
- * solve).  The paper reports a maximum difference between the
- * technologies below 1.5 K, with the SRAM L3 densest (~450 mW/bank).
+ * stack for each LLC technology (the exact steady-state solve of the
+ * uniformly powered stack, see sim/thermal/thermal.hh).  The paper
+ * reports a maximum difference between the technologies below 1.5 K,
+ * with the SRAM L3 densest (~450 mW/bank).
  */
 
 #include <cstdio>

@@ -115,7 +115,7 @@ class EpochRecorder
 struct EpochDeriveParams {
     /** Per-bank L3 standby power (leakage + refresh), W. */
     double l3BankStandbyPowerW = 0.0;
-    /** Solve the stack temperature per epoch (the costly part). */
+    /** Solve the stack temperature per epoch (closed form). */
     bool computeThermal = true;
     ThermalParams thermal;
 };

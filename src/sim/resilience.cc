@@ -14,6 +14,7 @@
 
 #include "obs/numfmt.hh"
 #include "sim/runner.hh"
+#include "sim/thermal/thermal.hh"
 #include "util/atomic_file.hh"
 #include "util/hash.hh"
 
@@ -221,7 +222,11 @@ sweepFingerprint(std::uint64_t instr_per_thread, Cycle epoch_cycles,
     s += "|instr=" + std::to_string(instr_per_thread);
     s += "|epoch=" + std::to_string(epoch_cycles);
     s += "|exact=" + std::to_string(exact_events ? 1 : 0);
-    s += "|thermal=" + std::to_string(thermal ? 1 : 0);
+    // Thermal-on keys carry the thermal model's tag, so records
+    // holding another model's temperatures never load; thermal-off
+    // keys stay "thermal=0".
+    s += "|thermal=";
+    s += thermal ? std::string("1:") + kThermalModelTag : "0";
     s += "|maxcycles=" + std::to_string(max_cycles);
     return s;
 }

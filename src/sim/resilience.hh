@@ -172,7 +172,9 @@ std::uint64_t fnv1a64(std::string_view data);
  * run's results.  Two sweeps sharing this string (and the study) may
  * exchange checkpoint records for the same (config, workload); the
  * wall-clock budget and the fault plan are deliberately excluded —
- * neither changes the bytes of an Ok run.
+ * neither changes the bytes of an Ok run.  A thermal-on fingerprint
+ * also names the thermal model (kThermalModelTag), so records from
+ * another model re-run.
  */
 std::string sweepFingerprint(std::uint64_t instr_per_thread,
                              Cycle epoch_cycles, bool exact_events,

@@ -155,14 +155,20 @@ StudyRunner::execute(const std::string &config,
     r.stats.config = config;
 
     *ph = "power";
-    PowerParams pp = study_->powerFor(config);
-    if (opts_.tweakPower)
-        opts_.tweakPower(config, pp);
-    r.power = computePower(pp, r.stats);
+    PowerParams pp;
+    double bank_standby = 0.0;
+    {
+        OBS_PROFILE_SCOPE("runner.power");
+        pp = study_->powerFor(config);
+        if (opts_.tweakPower)
+            opts_.tweakPower(config, pp);
+        r.power = computePower(pp, r.stats);
+        bank_standby = study_->l3BankStandbyPower(config);
+    }
 
-    const double bank_standby = study_->l3BankStandbyPower(config);
     if (!r.epochs.empty()) {
         *ph = "derive";
+        OBS_PROFILE_SCOPE("runner.derive");
         EpochDeriveParams dp;
         dp.l3BankStandbyPowerW = bank_standby;
         dp.computeThermal = opts_.thermal;
@@ -171,6 +177,7 @@ StudyRunner::execute(const std::string &config,
     }
     if (opts_.thermal) {
         *ph = "thermal";
+        OBS_PROFILE_SCOPE("runner.thermal");
         r.thermal = solveStudyStack(opts_.thermalParams, pp.corePowerW,
                                     bank_standby + r.power.l3Dyn / 8.0);
     }

@@ -1,124 +1,25 @@
 /**
  * @file
- * Thermal grid solver implementation.
+ * Closed-form solve of the study's uniformly powered 2-die stack.
  */
 
 #include "sim/thermal/thermal.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace archsim {
-
-std::vector<double>
-tileMap(int grid, const std::vector<double> &tiles)
-{
-    if (tiles.size() != 8)
-        throw std::invalid_argument("expected 8 tile powers");
-    std::vector<double> map(std::size_t(grid) * grid, 0.0);
-    const int tile_rows = 2;
-    const int tile_cols = 4;
-    const int cells_per_tile =
-        (grid / tile_rows) * (grid / tile_cols);
-    for (int y = 0; y < grid; ++y) {
-        for (int x = 0; x < grid; ++x) {
-            const int ty = y / (grid / tile_rows);
-            const int tx = x / (grid / tile_cols);
-            const double p = tiles[std::size_t(ty) * tile_cols + tx];
-            map[std::size_t(y) * grid + x] = p / cells_per_tile;
-        }
-    }
-    return map;
-}
 
 ThermalResult
 solveStudyStack(const ThermalParams &p, double core_die_w,
                 double l3_bank_w)
 {
-    const std::vector<double> core_tiles(8, core_die_w / 8.0);
-    const std::vector<double> llc_tiles(8, l3_bank_w);
-    return solveStack(p, tileMap(p.grid, core_tiles),
-                      tileMap(p.grid, llc_tiles));
-}
-
-ThermalResult
-solveStack(const ThermalParams &p, const std::vector<double> &bottom_power,
-           const std::vector<double> &top_power)
-{
-    const int n = p.grid;
-    const auto cells = std::size_t(n) * n;
-    if (bottom_power.size() != cells || top_power.size() != cells)
-        throw std::invalid_argument("power map size mismatch");
-
-    const double cell_edge = p.dieEdge / n;
-    const double cell_area = cell_edge * cell_edge;
-
-    // Conductances (W/K).
-    const double g_lateral =
-        p.kSilicon * (cell_edge * p.dieThickness) / cell_edge;
-    const double g_bond = p.kBond * cell_area / p.bondThickness;
-    const double g_sink =
-        cell_area / p.rSinkPerArea +
-        p.kSilicon * cell_area / p.dieThickness * 0.0; // sink dominates
-
-    // Two layers: index 0 = bottom (cores), 1 = top (LLC, under sink).
-    std::vector<double> temp(2 * cells, p.ambient);
-
-    auto idx = [cells, n](int layer, int y, int x) {
-        return std::size_t(layer) * cells + std::size_t(y) * n + x;
-    };
-
-    for (int iter = 0; iter < 4000; ++iter) {
-        double max_delta = 0.0;
-        for (int layer = 0; layer < 2; ++layer) {
-            for (int y = 0; y < n; ++y) {
-                for (int x = 0; x < n; ++x) {
-                    double g_sum = 0.0;
-                    double flow = 0.0;
-                    // Lateral neighbours.
-                    const int dx[] = {1, -1, 0, 0};
-                    const int dy[] = {0, 0, 1, -1};
-                    for (int k = 0; k < 4; ++k) {
-                        const int nx = x + dx[k];
-                        const int ny = y + dy[k];
-                        if (nx < 0 || nx >= n || ny < 0 || ny >= n)
-                            continue;
-                        g_sum += g_lateral;
-                        flow += g_lateral * temp[idx(layer, ny, nx)];
-                    }
-                    // Vertical: bond between layers; sink above top.
-                    const int other = 1 - layer;
-                    g_sum += g_bond;
-                    flow += g_bond * temp[idx(other, y, x)];
-                    if (layer == 1) {
-                        g_sum += g_sink;
-                        flow += g_sink * p.ambient;
-                    }
-                    const double power =
-                        layer == 0 ? bottom_power[idx(0, y, x)]
-                                   : top_power[idx(0, y, x)];
-                    const double t_new = (flow + power) / g_sum;
-                    const std::size_t i = idx(layer, y, x);
-                    max_delta =
-                        std::max(max_delta, std::abs(t_new - temp[i]));
-                    temp[i] = t_new;
-                }
-            }
-        }
-        if (max_delta < 1e-6)
-            break;
-    }
-
+    const double area = p.dieEdge * p.dieEdge;
     ThermalResult r;
-    for (int y = 0; y < n; ++y) {
-        for (int x = 0; x < n; ++x) {
-            r.maxTempBottomDie =
-                std::max(r.maxTempBottomDie, temp[idx(0, y, x)]);
-            r.maxTempTopDie =
-                std::max(r.maxTempTopDie, temp[idx(1, y, x)]);
-        }
-    }
+    r.maxTempTopDie = p.ambient +
+                      (core_die_w + 8.0 * l3_bank_w) * p.rSinkPerArea /
+                          area;
+    r.maxTempBottomDie = r.maxTempTopDie + core_die_w * p.bondThickness /
+                                               (p.kBond * area);
     r.maxTemp = std::max(r.maxTempBottomDie, r.maxTempTopDie);
     return r;
 }

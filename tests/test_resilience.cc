@@ -501,3 +501,51 @@ TEST_F(ResilienceTest, ResumedSweepIsByteIdenticalToUninterrupted)
     EXPECT_EQ(resumed, clean);
     EXPECT_NE(resumed.find("cactid-study-v1"), std::string::npos);
 }
+
+TEST_F(ResilienceTest, ThermalModelChangeReRunsOnlyThermalOnRecords)
+{
+    for (const bool thermal : {true, false}) {
+        RunnerOptions opts = smallSweep(2);
+        opts.thermal = thermal;
+        const std::string dir =
+            tempDir(thermal ? "ckpt_thermal_on" : "ckpt_thermal_off");
+        // The sweep key as written before thermal-on keys carried the
+        // thermal model's tag.
+        const std::string old_fp =
+            std::string("cactid-sweep-v1|instr=3000|epoch=2000|exact=0") +
+            "|thermal=" + (thermal ? "1" : "0") + "|maxcycles=0";
+        {
+            CheckpointStore old(dir, old_fp);
+            std::string err;
+            ASSERT_TRUE(old.ensureDir(&err)) << err;
+            RunnerOptions first = opts;
+            first.onRunComplete = [&old](std::size_t, const RunResult &r) {
+                std::string save_err;
+                ASSERT_TRUE(old.save(r, &save_err)) << save_err;
+            };
+            StudyRunner(*study_, first).runAll();
+        }
+
+        RunnerOptions second = opts;
+        std::atomic<int> executed{0};
+        second.tweakHierarchy = [&executed](const std::string &,
+                                            HierarchyParams &) {
+            ++executed;
+        };
+        const std::string fp = StudyRunner(*study_, second).fingerprint();
+        EXPECT_EQ(fp == old_fp, !thermal) << fp;
+        const CheckpointStore store(dir, fp);
+        second.reuseRun = [store](std::size_t, const std::string &config,
+                                  const std::string &workload,
+                                  RunResult &out) {
+            return store.load(config, workload, out) ==
+                   CheckpointStore::Load::Loaded;
+        };
+        const std::string resumed = sweepJson(*study_, second);
+        // Thermal-on: every old record is alien and re-runs.
+        // Thermal-off: the key is unchanged and every record loads.
+        EXPECT_EQ(executed.load(), thermal ? 4 : 0)
+            << "thermal=" << thermal;
+        EXPECT_EQ(resumed, sweepJson(*study_, opts));
+    }
+}
