@@ -6,15 +6,11 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -24,6 +20,7 @@
 #include "core/solver.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "util/executor.hh"
 
 namespace cactid {
 
@@ -91,10 +88,7 @@ private:
 int
 SolverEngine::resolveJobs(int jobs)
 {
-    if (jobs > 0)
-        return jobs;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return util::resolveJobs(jobs);
 }
 
 std::vector<Solution>
@@ -121,66 +115,31 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
     st.partitionsEnumerated = candidates.size();
     st.setupSeconds = secondsSince(t_setup);
 
-    // --- Stage 2+3: evaluate candidates (possibly in parallel) and
-    // fold the results in enumeration order.
+    // --- Stage 2+3: evaluate candidates on the shared executor, one
+    // bounded block at a time, and fold each block in enumeration
+    // order.  Workers only write their own index slot; the block's
+    // completion barrier publishes the slots to this thread, so the
+    // fold needs no lock and peak live memory stays one block.
     const auto t_eval = Clock::now();
     StreamingFold fold(cfg, opts_.collectAll, st, res);
-
-    const int jobs = static_cast<int>(
-        std::min(static_cast<std::size_t>(st.jobsUsed),
-                 std::max<std::size_t>(candidates.size(), 1)));
-    if (jobs <= 1) {
+    {
         OBS_PROFILE_SCOPE("solver.evaluate");
-        for (const Partition &p : candidates) {
-            if (auto s = eval(p))
-                fold(std::move(*s));
-            else
-                ++st.partitionsInfeasible;
-        }
-    } else {
-        OBS_PROFILE_SCOPE("solver.evaluate");
+        const int width = std::min(st.jobsUsed, util::executorWidth());
         const std::size_t n = candidates.size();
-        std::vector<std::optional<Solution>> slots(n);
-        std::vector<char> done(n, 0);
-        std::mutex mtx;
-        std::condition_variable cv;
-        std::atomic<std::size_t> next{0};
-
-        auto worker = [&] {
-            OBS_PROFILE_SCOPE("solver.worker");
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1)) {
-                std::optional<Solution> s = eval(candidates[i]);
-                {
-                    const std::lock_guard<std::mutex> lock(mtx);
-                    slots[i] = std::move(s);
-                    done[i] = 1;
-                }
-                cv.notify_one();
+        const std::size_t block = 64 * static_cast<std::size_t>(width);
+        std::vector<std::optional<Solution>> slots(std::min(n, block));
+        for (std::size_t base = 0; base < n; base += block) {
+            const std::size_t len = std::min(block, n - base);
+            util::parallelFor(len, width, [&](std::size_t i) {
+                slots[i] = eval(candidates[base + i]);
+            });
+            for (std::size_t i = 0; i < len; ++i) {
+                if (slots[i])
+                    fold(std::move(*slots[i]));
+                else
+                    ++st.partitionsInfeasible;
             }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (int w = 0; w < jobs; ++w)
-            pool.emplace_back(worker);
-
-        // The merge consumes slot i only once evaluated, in index
-        // order; workers run ahead while earlier slots are folded.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::optional<Solution> s;
-            {
-                std::unique_lock<std::mutex> lock(mtx);
-                cv.wait(lock, [&] { return done[i] != 0; });
-                s = std::move(slots[i]);
-                slots[i].reset();
-            }
-            if (s)
-                fold(std::move(*s));
-            else
-                ++st.partitionsInfeasible;
         }
-        for (std::thread &th : pool)
-            th.join();
     }
     st.evaluateSeconds = secondsSince(t_eval);
 

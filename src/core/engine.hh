@@ -7,10 +7,12 @@
  *
  *   1. partition candidates stream from forEachPartition (no up-front
  *      materialization of the solution space),
- *   2. bank construction + solution combination fan out across a small
- *      worker pool (SolverOptions::jobs),
- *   3. results merge back in enumeration order, with an incremental
- *      max-area prune bounding the live working set,
+ *   2. bank construction + solution combination fan out across the
+ *      process-wide executor (util/executor.hh) in bounded blocks of
+ *      64 x width candidates, each worker writing its own index slot,
+ *   3. the calling thread folds each finished block in enumeration
+ *      order, with an incremental max-area prune bounding the live
+ *      working set,
  *   4. the composable optimizer passes pick the winner.
  *
  * Determinism guarantee: the merge folds candidate results in
@@ -40,8 +42,14 @@ class SolveCache;
 /** Knobs controlling how a solve executes (not what it computes). */
 struct SolverOptions {
     /**
-     * Worker threads for candidate evaluation; 0 means
-     * std::thread::hardware_concurrency(), 1 runs fully serial.
+     * Threads for candidate evaluation: a cap on the width of the
+     * shared executor (util/executor.hh), whose own width is
+     * std::thread::hardware_concurrency().  0 asks for that full
+     * width, 1 runs fully serial on the calling thread.  A solve
+     * issued from inside an executor task (e.g. from a StudyRunner
+     * run), or while another thread's solve holds the pool, runs
+     * inline on its calling thread.  Results are bit-identical for
+     * every setting.
      */
     int jobs = 0;
 
@@ -120,7 +128,7 @@ public:
 
     const SolverOptions &options() const { return opts_; }
 
-    /** Threads a given jobs setting resolves to on this machine. */
+    /** The width a jobs setting asks for (util::resolveJobs). */
     static int resolveJobs(int jobs);
 
 private:

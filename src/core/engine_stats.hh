@@ -41,7 +41,10 @@ struct EngineStats {
     /** High-water mark of live retained solutions during streaming. */
     std::size_t peakLiveSolutions = 0;
 
-    /** Worker threads actually used for candidate evaluation. */
+    /**
+     * Width the solve asked for (SolverOptions::jobs resolved); the
+     * shared executor runs it on at most its own width of threads.
+     */
     int jobsUsed = 0;
 
     // --- Per-stage wall time (seconds).

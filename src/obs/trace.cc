@@ -91,4 +91,11 @@ Tracer::dropped() const
     return n;
 }
 
+std::size_t
+Tracer::ringCount() const
+{
+    const std::lock_guard<std::mutex> lock(mtx_);
+    return buffers_.size();
+}
+
 } // namespace cactid::obs

@@ -118,10 +118,13 @@ private:
 /**
  * Process-wide tracer for wall-clock profiling spans.  Threads record
  * into private rings (registered once, under a mutex; recording itself
- * is lock-free), so concurrent spans never contend.  collect() must
- * only run after the recording threads have been joined — the repo's
- * worker pools all join before their results are read, which provides
- * the necessary happens-before edge.
+ * is lock-free), so concurrent spans never contend.  A ring lives as
+ * long as the process, so the ring count is bounded by the threads
+ * that ever record: the shared executor's persistent workers plus the
+ * calling threads.  collect() must only run once the recording work
+ * has finished — for work run through util::parallelFor, the call
+ * returning is the executor's completion barrier, which provides the
+ * necessary happens-before edge from every worker's events.
  */
 class Tracer {
 public:
@@ -150,6 +153,9 @@ public:
 
     /** Total events overwritten across all thread rings. */
     std::uint64_t dropped() const;
+
+    /** Thread rings registered so far (one per recording thread). */
+    std::size_t ringCount() const;
 
 private:
     Tracer();

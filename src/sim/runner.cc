@@ -10,9 +10,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/build_info.hh"
 #include "obs/export.hh"
@@ -21,6 +19,7 @@
 #include "obs/registry.hh"
 #include "sim/obs.hh"
 #include "sim/telemetry.hh"
+#include "util/executor.hh"
 
 namespace archsim {
 
@@ -76,10 +75,7 @@ StudyRunner::StudyRunner(const Study &study, RunnerOptions opts)
 int
 StudyRunner::resolveJobs(int jobs)
 {
-    if (jobs > 0)
-        return jobs;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return cactid::util::resolveJobs(jobs);
 }
 
 RunResult
@@ -313,9 +309,6 @@ StudyRunner::runAll() const
     }
 
     std::vector<RunResult> results(tasks.size());
-    const int jobs = static_cast<int>(
-        std::min<std::size_t>(resolveJobs(opts_.jobs),
-                              std::max<std::size_t>(tasks.size(), 1)));
 
     // The heartbeat writer (off unless a telemetry path is set); its
     // hooks are thread-safe and its wall-clock output is segregated
@@ -350,42 +343,21 @@ StudyRunner::runAll() const
             opts_.onRunComplete(i, results[i]);
     };
 
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < tasks.size(); ++i)
-            runTask(i);
-        if (telem)
-            telem->finish();
-        return results;
-    }
-
     // Each simulation is independent and internally deterministic;
     // results land in enumeration-indexed slots, so the sweep output
-    // never depends on completion order.
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mtx;
-    std::exception_ptr first_error;
-    auto worker = [&] {
-        for (std::size_t i = next.fetch_add(1); i < tasks.size();
-             i = next.fetch_add(1)) {
-            try {
-                runTask(i);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(err_mtx);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (int j = 0; j < jobs; ++j)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
+    // never depends on completion order.  A solve issued from a task
+    // runs inline on that task's thread (util/executor.hh).
+    std::exception_ptr hook_error;
+    try {
+        cactid::util::parallelFor(tasks.size(), resolveJobs(opts_.jobs),
+                                  runTask);
+    } catch (...) {
+        hook_error = std::current_exception();
+    }
     if (telem)
         telem->finish(); // summary written even when a hook failed
-    if (first_error)
-        std::rethrow_exception(first_error);
+    if (hook_error)
+        std::rethrow_exception(hook_error);
     return results;
 }
 

@@ -61,8 +61,10 @@ struct TelemetryOptions {
 /** Knobs controlling how a sweep executes (not what it simulates). */
 struct RunnerOptions {
     /**
-     * Worker threads across simulations; 0 means
-     * std::thread::hardware_concurrency(), 1 runs fully serial.
+     * Simulations run at once on the shared executor
+     * (util/executor.hh): a cap on the pool's width, whose default
+     * (0) is std::thread::hardware_concurrency(); 1 runs fully
+     * serial.  Solves issued from a run execute inline on its thread.
      */
     int jobs = 0;
 
@@ -221,8 +223,9 @@ class StudyRunner
      * non-Ok RunResult with structured error context, and every
      * other run still executes — the sweep result is deterministic
      * for any `jobs`.  Only infrastructure failures (an exception
-     * escaping the onRunComplete/reuseRun hooks) abort the sweep,
-     * after the pool drains.
+     * escaping the onRunComplete/reuseRun hooks) abort the sweep:
+     * every run still finishes, then the failure of the lowest
+     * enumeration index is rethrown, for any `jobs`.
      */
     std::vector<RunResult> runAll() const;
 
@@ -257,7 +260,7 @@ class StudyRunner
     /** Effective instruction budget per hardware thread. */
     std::uint64_t instrPerThread() const { return instr_; }
 
-    /** Threads a given jobs setting resolves to on this machine. */
+    /** The width a jobs setting asks for (util::resolveJobs). */
     static int resolveJobs(int jobs);
 
   private:

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+
 #include "core/cacti.hh"
 #include "core/engine.hh"
+#include "obs/trace.hh"
+#include "util/executor.hh"
 
 namespace {
 
@@ -187,6 +192,65 @@ TEST(Engine, StatsReportMentionsEveryStage)
     EXPECT_NE(r.find("max-acctime"), std::string::npos);
     EXPECT_NE(r.find("evaluate"), std::string::npos);
     EXPECT_NE(r.find("total"), std::string::npos);
+}
+
+TEST(Engine, SolveInsideExecutorTaskMatchesSerial)
+{
+    const std::vector<MemoryConfig> cfgs = {sramCache(), lpDramCache(),
+                                            commDramChip()};
+    std::vector<SolveResult> nested(cfgs.size());
+    // Each task's solve asks for 4 threads but runs inline on the
+    // task's thread: the pool is already running this loop.
+    util::parallelFor(cfgs.size(), 4, [&](std::size_t i) {
+        nested[i] = solve(cfgs[i], SolverOptions{4, true});
+    });
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const SolveResult serial = solve(cfgs[i], SolverOptions{1, true});
+        expectIdentical(serial.best, nested[i].best);
+        ASSERT_EQ(serial.filtered.size(), nested[i].filtered.size());
+        for (std::size_t k = 0; k < serial.filtered.size(); ++k)
+            expectIdentical(serial.filtered[k], nested[i].filtered[k]);
+        EXPECT_EQ(serial.all.size(), nested[i].all.size());
+    }
+}
+
+MemoryConfig
+smallSram()
+{
+    MemoryConfig c = sramCache();
+    c.capacityBytes = 64 << 10;
+    c.nBanks = 1;
+    return c;
+}
+
+TEST(Engine, TracedSolvesAddAtMostExecutorWidthRings)
+{
+    obs::Tracer &tracer = obs::Tracer::instance();
+    const std::size_t before = tracer.ringCount();
+    tracer.enable(true);
+    for (int i = 0; i < 200; ++i)
+        solve(smallSram(), SolverOptions{4, false});
+    tracer.enable(false);
+    // One ring per thread that ever recorded: the persistent workers
+    // plus this caller, never a fresh set per solve.
+    EXPECT_LE(tracer.ringCount() - before,
+              static_cast<std::size_t>(util::executorWidth()));
+}
+
+TEST(Engine, SolvesCreateNoThreadsAfterTheFirst)
+{
+    const std::filesystem::path tasks = "/proc/self/task";
+    if (!std::filesystem::exists(tasks))
+        GTEST_SKIP() << "no per-thread listing on this platform";
+    auto threads = [&] {
+        return std::distance(std::filesystem::directory_iterator(tasks),
+                             std::filesystem::directory_iterator());
+    };
+    solve(smallSram(), SolverOptions{0, false}); // creates the pool
+    const auto warm = threads();
+    for (int i = 0; i < 50; ++i)
+        solve(smallSram(), SolverOptions{0, false});
+    EXPECT_EQ(threads(), warm);
 }
 
 TEST(Engine, InfeasibleConfigThrows)

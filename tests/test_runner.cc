@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/runner.hh"
 
@@ -63,6 +65,43 @@ TEST_F(RunnerTest, ParallelSweepBitIdenticalToSerial)
     const std::string serial = sweepJson(*study_, 1);
     EXPECT_EQ(sweepJson(*study_, 4), serial);
     EXPECT_EQ(sweepJson(*study_, 8), serial);
+}
+
+TEST_F(RunnerTest, SummaryCsvBitIdenticalAcrossJobs)
+{
+    auto csv = [](int jobs) {
+        const StudyRunner runner(*study_, smallSweep(jobs));
+        std::ostringstream os;
+        exportSummaryCsv(os, runner.runAll());
+        return os.str();
+    };
+    const std::string serial = csv(1);
+    EXPECT_EQ(csv(4), serial);
+    EXPECT_EQ(csv(8), serial);
+}
+
+// A throwing hook aborts the sweep only after every run finished, and
+// the failure reported is the lowest index's, for any jobs.
+TEST_F(RunnerTest, HookFailureRethrowsLowestIndexAfterAllRuns)
+{
+    for (const int jobs : {1, 4}) {
+        RunnerOptions o = smallSweep(jobs);
+        std::atomic<int> completed{0};
+        o.onRunComplete = [&completed](std::size_t i, const RunResult &) {
+            completed.fetch_add(1);
+            if (i == 1 || i == 3)
+                throw std::runtime_error("hook " + std::to_string(i));
+        };
+        const StudyRunner runner(*study_, o);
+        std::string what;
+        try {
+            runner.runAll();
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        EXPECT_EQ(what, "hook 1") << "jobs=" << jobs;
+        EXPECT_EQ(completed.load(), 4) << "jobs=" << jobs;
+    }
 }
 
 TEST_F(RunnerTest, ParallelAggregatesAndEpochsMatchSerial)
