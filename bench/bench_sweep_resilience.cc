@@ -6,8 +6,9 @@
  *
  *  1. isolation: every un-faulted run still completes, and the
  *     faulted sweep is byte-identical for any jobs count;
- *  2. watchdog: a cycle budget converts every run to timed_out at
- *     the same deterministic cycle, serial or pooled;
+ *  2. watchdog: a cycle budget (half the shortest clean run) converts
+ *     every run to timed_out at the same deterministic cycle, serial
+ *     or pooled;
  *  3. retry: transient faults recover with the attempt recorded;
  *  4. resume: a checkpointed, fault-interrupted sweep, resumed
  *     without the faults, exports the same bytes as an uninterrupted
@@ -17,9 +18,12 @@
  *        (defaults: 8 jobs, defaultInstrPerThread()/8, seed 42)
  */
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,10 +115,22 @@ main(int argc, char **argv)
     std::printf("    faulted sweep: %.3fs pooled, %.3fs serial\n",
                 f_pool.secs, f_serial.secs);
 
-    // 2. Watchdog: a tight cycle budget times every run out at a
-    //    deterministic cycle.
+    // The clean sweep: the resume reference, and the run lengths the
+    // watchdog budget derives from (a fixed budget would let short
+    // runs finish at small instruction counts).
+    const SweepOut clean = runSweep(study, base);
+    Cycle shortest = std::numeric_limits<Cycle>::max();
+    for (const RunResult &r : clean.runs) {
+        if (r.ok())
+            shortest = std::min(shortest, r.stats.cycles);
+    }
+
+    // 2. Watchdog: half the shortest clean run times every run out at
+    //    a deterministic cycle.
     RunnerOptions budget = base;
-    budget.maxCycles = 50000;
+    budget.maxCycles = shortest / 2;
+    std::printf("watchdog budget: %llu cycles\n",
+                static_cast<unsigned long long>(budget.maxCycles));
     const SweepOut b_pool = runSweep(study, budget);
     RunnerOptions budget_serial = budget;
     budget_serial.jobs = 1;
@@ -168,24 +184,33 @@ main(int argc, char **argv)
     RunnerOptions pass2 = base;
     const CheckpointStore store(
         dir, StudyRunner(study, pass2).fingerprint());
-    pass2.reuseRun = [&store](std::size_t, const std::string &config,
-                              const std::string &workload,
-                              RunResult &out) {
+    std::atomic<std::size_t> reused{0}, rejected{0};
+    pass2.reuseRun = [&](std::size_t, const std::string &config,
+                         const std::string &workload, RunResult &out) {
         RunResult r;
-        if (store.load(config, workload, r) !=
-                CheckpointStore::Load::Loaded ||
-            !r.ok())
-            return false;
+        std::string why;
+        const CheckpointStore::Load got =
+            store.load(config, workload, r, &why);
+        if (got == CheckpointStore::Load::Rejected) {
+            ++rejected;
+            std::fprintf(stderr, "checkpoint %s rejected: %s\n",
+                         store.path(config, workload).c_str(),
+                         why.c_str());
+        }
+        if (got != CheckpointStore::Load::Loaded || !r.ok())
+            return false; // failed runs re-execute on resume
+        ++reused;
         out = std::move(r);
         return true;
     };
     const SweepOut resumed = runSweep(study, pass2);
-    const SweepOut clean = runSweep(study, base);
     verdict("resume: byte-identical to clean sweep",
-            resumed.json == clean.json);
+            resumed.json == clean.json && rejected == 0 &&
+                reused == n_runs - 3);
     std::printf("    resume %.3fs vs clean %.3fs (%zu of %zu runs "
-                "reused)\n",
-                resumed.secs, clean.secs, n_runs - 3, n_runs);
+                "reused, %zu rejected)\n",
+                resumed.secs, clean.secs, reused.load(), n_runs,
+                rejected.load());
 
     std::printf("sweep resilience contracts: %s\n",
                 all_ok ? "all pass" : "FAILED");

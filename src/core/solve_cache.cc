@@ -6,148 +6,69 @@
 #include "core/solve_cache.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
-#include <sys/stat.h>
-
 #include "obs/build_info.hh"
-#include "obs/numfmt.hh"
 #include "obs/registry.hh"
-#include "util/atomic_file.hh"
 #include "util/hash.hh"
 
 namespace cactid {
 
 namespace {
 
+// One field list per payload line, shared by encode (joinFields) and
+// decode (Tokens), so the two can never disagree on order or arity.
+
+template <class B, class F>
+auto
+bankFields(B &b, F &&f)
+{
+    return f(b.part.rowsPerSubarray, b.part.colsPerSubarray, b.part.blMux,
+             b.part.samMux, b.nMats, b.gridX, b.gridY, b.nActiveMats,
+             b.width, b.height, b.area, b.areaEfficiency, b.accessTime,
+             b.randomCycle, b.interleaveCycle, b.tRcd, b.tCas, b.tRp,
+             b.tRas, b.tRc, b.tRrd, b.readEnergy, b.writeEnergy,
+             b.activateEnergy, b.readBurstEnergy, b.writeBurstEnergy,
+             b.leakage, b.refreshPower, b.feasible);
+}
+
+/** The roll-up of a solution; its data and tag banks follow it. */
+template <class S, class F>
+auto
+solutionFields(S &s, F &&f)
+{
+    return f(s.hasTag, s.totalArea, s.bankArea, s.areaEfficiency,
+             s.accessTime, s.randomCycle, s.interleaveCycle, s.readEnergy,
+             s.writeEnergy, s.leakage, s.refreshPower, s.tRcd, s.tCas,
+             s.tRp, s.tRas, s.tRc, s.tRrd, s.activateEnergy,
+             s.readBurstEnergy, s.writeBurstEnergy, s.nSubbanks,
+             s.objective);
+}
+
+template <class E, class F>
+auto
+statsFields(E &st, F &&f)
+{
+    return f(st.partitionsEnumerated, st.partitionsInfeasible,
+             st.solutionsBuilt, st.areaPruned, st.timePruned,
+             st.peakLiveSolutions, st.jobsUsed, st.setupSeconds,
+             st.evaluateSeconds, st.filterSeconds, st.totalSeconds);
+}
+
 std::string
-num(double v)
+encodeSolution(const Solution &s)
 {
-    return obs::fmtDouble(v);
-}
-
-/** strtod on a whole token: locale-proof for fmtDouble output. */
-bool
-parseDouble(std::istringstream &ss, double &out)
-{
-    std::string tok;
-    if (!(ss >> tok))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size();
-}
-
-bool
-parseU64(std::istringstream &ss, std::uint64_t &out)
-{
-    return static_cast<bool>(ss >> out);
-}
-
-bool
-parseInt(std::istringstream &ss, int &out)
-{
-    return static_cast<bool>(ss >> out);
-}
-
-bool
-parseBool(std::istringstream &ss, bool &out)
-{
-    int v = 0;
-    if (!(ss >> v) || (v != 0 && v != 1))
-        return false;
-    out = v != 0;
-    return true;
-}
-
-void
-encodeBank(std::ostream &os, const BankMetrics &b)
-{
-    os << b.part.rowsPerSubarray << ' ' << b.part.colsPerSubarray
-       << ' ' << b.part.blMux << ' ' << b.part.samMux << ' '
-       << b.nMats << ' ' << b.gridX << ' ' << b.gridY << ' '
-       << b.nActiveMats << ' ' << num(b.width) << ' '
-       << num(b.height) << ' ' << num(b.area) << ' '
-       << num(b.areaEfficiency) << ' ' << num(b.accessTime) << ' '
-       << num(b.randomCycle) << ' ' << num(b.interleaveCycle) << ' '
-       << num(b.tRcd) << ' ' << num(b.tCas) << ' ' << num(b.tRp)
-       << ' ' << num(b.tRas) << ' ' << num(b.tRc) << ' '
-       << num(b.tRrd) << ' ' << num(b.readEnergy) << ' '
-       << num(b.writeEnergy) << ' ' << num(b.activateEnergy) << ' '
-       << num(b.readBurstEnergy) << ' ' << num(b.writeBurstEnergy)
-       << ' ' << num(b.leakage) << ' ' << num(b.refreshPower) << ' '
-       << (b.feasible ? 1 : 0);
-}
-
-bool
-decodeBank(std::istringstream &ss, BankMetrics &b)
-{
-    return parseInt(ss, b.part.rowsPerSubarray) &&
-           parseInt(ss, b.part.colsPerSubarray) &&
-           parseInt(ss, b.part.blMux) && parseInt(ss, b.part.samMux) &&
-           parseInt(ss, b.nMats) && parseInt(ss, b.gridX) &&
-           parseInt(ss, b.gridY) && parseInt(ss, b.nActiveMats) &&
-           parseDouble(ss, b.width) && parseDouble(ss, b.height) &&
-           parseDouble(ss, b.area) &&
-           parseDouble(ss, b.areaEfficiency) &&
-           parseDouble(ss, b.accessTime) &&
-           parseDouble(ss, b.randomCycle) &&
-           parseDouble(ss, b.interleaveCycle) &&
-           parseDouble(ss, b.tRcd) && parseDouble(ss, b.tCas) &&
-           parseDouble(ss, b.tRp) && parseDouble(ss, b.tRas) &&
-           parseDouble(ss, b.tRc) && parseDouble(ss, b.tRrd) &&
-           parseDouble(ss, b.readEnergy) &&
-           parseDouble(ss, b.writeEnergy) &&
-           parseDouble(ss, b.activateEnergy) &&
-           parseDouble(ss, b.readBurstEnergy) &&
-           parseDouble(ss, b.writeBurstEnergy) &&
-           parseDouble(ss, b.leakage) &&
-           parseDouble(ss, b.refreshPower) &&
-           parseBool(ss, b.feasible);
-}
-
-void
-encodeSolution(std::ostream &os, const Solution &s)
-{
-    os << (s.hasTag ? 1 : 0) << ' ' << num(s.totalArea) << ' '
-       << num(s.bankArea) << ' ' << num(s.areaEfficiency) << ' '
-       << num(s.accessTime) << ' ' << num(s.randomCycle) << ' '
-       << num(s.interleaveCycle) << ' ' << num(s.readEnergy) << ' '
-       << num(s.writeEnergy) << ' ' << num(s.leakage) << ' '
-       << num(s.refreshPower) << ' ' << num(s.tRcd) << ' '
-       << num(s.tCas) << ' ' << num(s.tRp) << ' ' << num(s.tRas)
-       << ' ' << num(s.tRc) << ' ' << num(s.tRrd) << ' '
-       << num(s.activateEnergy) << ' ' << num(s.readBurstEnergy)
-       << ' ' << num(s.writeBurstEnergy) << ' ' << s.nSubbanks << ' '
-       << num(s.objective) << ' ';
-    encodeBank(os, s.data);
-    os << ' ';
-    encodeBank(os, s.tag);
+    return solutionFields(s, util::joinFields) + ' ' +
+           bankFields(s.data, util::joinFields) + ' ' +
+           bankFields(s.tag, util::joinFields);
 }
 
 bool
 decodeSolution(const std::string &line, Solution &s)
 {
-    std::istringstream ss(line);
-    return parseBool(ss, s.hasTag) && parseDouble(ss, s.totalArea) &&
-           parseDouble(ss, s.bankArea) &&
-           parseDouble(ss, s.areaEfficiency) &&
-           parseDouble(ss, s.accessTime) &&
-           parseDouble(ss, s.randomCycle) &&
-           parseDouble(ss, s.interleaveCycle) &&
-           parseDouble(ss, s.readEnergy) &&
-           parseDouble(ss, s.writeEnergy) &&
-           parseDouble(ss, s.leakage) &&
-           parseDouble(ss, s.refreshPower) && parseDouble(ss, s.tRcd) &&
-           parseDouble(ss, s.tCas) && parseDouble(ss, s.tRp) &&
-           parseDouble(ss, s.tRas) && parseDouble(ss, s.tRc) &&
-           parseDouble(ss, s.tRrd) &&
-           parseDouble(ss, s.activateEnergy) &&
-           parseDouble(ss, s.readBurstEnergy) &&
-           parseDouble(ss, s.writeBurstEnergy) &&
-           parseInt(ss, s.nSubbanks) && parseDouble(ss, s.objective) &&
-           decodeBank(ss, s.data) && decodeBank(ss, s.tag);
+    util::Tokens t(line);
+    return solutionFields(s, t) && bankFields(s.data, t) &&
+           bankFields(s.tag, t);
 }
 
 /** Approximate resident size of one cache entry. */
@@ -164,7 +85,8 @@ entryBytes(const std::string &key, const SolveResult &res)
 
 } // namespace
 
-SolveCache::SolveCache(SolveCacheConfig cfg) : cfg_(std::move(cfg))
+SolveCache::SolveCache(SolveCacheConfig cfg)
+    : cfg_(std::move(cfg)), disk_(cfg_.diskDir, "cactid-cache-v1")
 {
     stamp_ = cfg_.buildStamp.empty() ? defaultBuildStamp()
                                      : cfg_.buildStamp;
@@ -177,7 +99,7 @@ SolveCache::SolveCache(SolveCacheConfig cfg) : cfg_(std::move(cfg))
         cfg_.maxEntries / n > 0 ? cfg_.maxEntries / n : 1;
     maxBytesPerShard_ = cfg_.maxBytes / n > 0 ? cfg_.maxBytes / n : 1;
     if (!cfg_.diskDir.empty())
-        ::mkdir(cfg_.diskDir.c_str(), 0755); // EEXIST is fine
+        disk_.ensureDir(&diskError_);
 }
 
 std::string
@@ -232,17 +154,18 @@ SolveCache::diskLookup(const ConfigFingerprint &fp,
                        const std::string &key, bool want_all,
                        SolveResult &out)
 {
-    const std::string path = recordPath(fp);
-    std::string bytes;
-    if (!util::readFile(path, bytes))
-        return false; // a missing record is a plain miss
     SolveResult res;
     bool has_all = false;
     std::string why;
-    if (decodeRecord(bytes, fp, key, res, has_all, &why) !=
-        Load::Loaded) {
+    const util::RecordStore::Load got =
+        disk_.load(recordName(fp), [&](const std::string &bytes) {
+            return decodeRecord(bytes, fp, key, res, has_all, &why);
+        });
+    if (got == util::RecordStore::Load::Missing)
+        return false; // a plain miss
+    if (got == util::RecordStore::Load::Rejected) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
-        warnOnce("rejected cache record " + path + ": " + why);
+        warnOnce("rejected cache record " + recordPath(fp) + ": " + why);
         return false;
     }
     if (!has_all && want_all)
@@ -304,8 +227,8 @@ SolveCache::insert(const ConfigFingerprint &fp, const std::string &key,
     if (cfg_.diskDir.empty())
         return;
     std::string err;
-    if (util::writeFileAtomic(recordPath(fp),
-                              encodeRecord(key, res, has_all), &err))
+    if (disk_.save(recordName(fp), encodeRecord(key, res, has_all),
+                   &err))
         diskWrites_.fetch_add(1, std::memory_order_relaxed);
     else
         warnOnce("cache record write failed: " + err);
@@ -331,11 +254,17 @@ SolveCache::counters() const
 }
 
 std::string
+SolveCache::recordName(const ConfigFingerprint &fp)
+{
+    return "sc-" + fp.hex() + ".v1";
+}
+
+std::string
 SolveCache::recordPath(const ConfigFingerprint &fp) const
 {
     if (cfg_.diskDir.empty())
         return {};
-    return cfg_.diskDir + "/sc-" + fp.hex() + ".v1";
+    return disk_.path(recordName(fp));
 }
 
 std::string
@@ -343,171 +272,69 @@ SolveCache::encodeRecord(const std::string &key,
                          const SolveResult &res, bool has_all) const
 {
     std::ostringstream os;
-    os << "cactid-cache-v1\n";
     os << "build " << stamp_ << "\n";
     os << "key " << key << "\n";
     os << "hasall " << (has_all ? 1 : 0) << "\n";
-    const EngineStats &st = res.stats;
-    os << "stats " << st.partitionsEnumerated << ' '
-       << st.partitionsInfeasible << ' ' << st.solutionsBuilt << ' '
-       << st.areaPruned << ' ' << st.timePruned << ' '
-       << st.peakLiveSolutions << ' ' << st.jobsUsed << ' '
-       << num(st.setupSeconds) << ' ' << num(st.evaluateSeconds)
-       << ' ' << num(st.filterSeconds) << ' ' << num(st.totalSeconds)
-       << "\n";
-    os << "best ";
-    encodeSolution(os, res.best);
-    os << "\n";
+    os << "stats " << statsFields(res.stats, util::joinFields) << "\n";
+    os << "best " << encodeSolution(res.best) << "\n";
     os << "filtered " << res.filtered.size() << "\n";
-    for (const Solution &s : res.filtered) {
-        os << "s ";
-        encodeSolution(os, s);
-        os << "\n";
-    }
+    for (const Solution &s : res.filtered)
+        os << "s " << encodeSolution(s) << "\n";
     os << "all " << res.all.size() << "\n";
-    for (const Solution &s : res.all) {
-        os << "s ";
-        encodeSolution(os, s);
-        os << "\n";
-    }
-    std::string body = os.str();
-    body += "crc " + util::hex16(util::fnv1a64(body)) + "\n";
-    return body;
+    for (const Solution &s : res.all)
+        os << "s " << encodeSolution(s) << "\n";
+    return disk_.seal(os.str());
 }
 
-namespace {
-
-/** Pull the `word rest-of-line` lines of a record apart. */
-class RecordReader
-{
-  public:
-    explicit RecordReader(const std::string &bytes) : ss_(bytes) {}
-
-    bool
-    next(std::string &line)
-    {
-        return static_cast<bool>(std::getline(ss_, line));
-    }
-
-    /** Expect a `key value` line; value is the rest of the line. */
-    bool
-    field(const char *key, std::string &value)
-    {
-        std::string line;
-        if (!next(line))
-            return false;
-        const std::string prefix = std::string(key) + " ";
-        if (line.compare(0, prefix.size(), prefix) != 0)
-            return false;
-        value = line.substr(prefix.size());
-        return true;
-    }
-
-  private:
-    std::istringstream ss_;
-};
-
-} // namespace
-
-SolveCache::Load
+util::RecordStore::Load
 SolveCache::decodeRecord(const std::string &bytes,
                          const ConfigFingerprint &fp,
                          const std::string &key, SolveResult &out,
                          bool &has_all, std::string *why) const
 {
-    const auto reject = [&](const std::string &reason) {
-        if (why)
-            *why = reason;
-        return Load::Rejected;
-    };
+    using util::RecordStore;
+    auto rd = disk_.open(bytes);
+    if (!rd.ok())
+        return RecordStore::reject(why, rd.why());
 
-    // Integrity first, exactly like the checkpoint store: the record
-    // must end with a `crc` line whose FNV-1a matches everything
-    // before it.  A torn write or a flipped byte both fail here.
-    const std::size_t crc_pos = bytes.rfind("crc ");
-    if (crc_pos == std::string::npos ||
-        (crc_pos != 0 && bytes[crc_pos - 1] != '\n'))
-        return reject("missing crc trailer (torn record)");
-    const std::string_view tail =
-        std::string_view(bytes).substr(crc_pos);
-    if (tail.size() != 4 + 16 + 1 || tail.back() != '\n')
-        return reject("malformed crc trailer (torn record)");
-    const std::string crc_hex(tail.substr(4, 16));
-    if (crc_hex.find_first_not_of("0123456789abcdef") !=
-        std::string::npos)
-        return reject("malformed crc trailer (torn record)");
-    if (std::strtoull(crc_hex.c_str(), nullptr, 16) !=
-        util::fnv1a64(std::string_view(bytes).substr(0, crc_pos)))
-        return reject("crc mismatch (corrupt record)");
-
-    RecordReader rd(bytes);
-    std::string line, v;
-    if (!rd.next(line) || line != "cactid-cache-v1")
-        return reject("unrecognized version header");
-
+    std::string v;
     if (!rd.field("build", v))
-        return reject("missing build stamp");
+        return RecordStore::reject(why, "missing build stamp");
     if (v != stamp_)
-        return reject("build fingerprint mismatch (record " + v +
-                      ", binary " + stamp_ + ")");
-
-    std::string rec_key;
-    if (!rd.field("key", rec_key))
-        return reject("missing canonical key");
-    if (rec_key != key || keyFingerprint(rec_key) != fp)
-        return reject("canonical key mismatch (alien record)");
+        return RecordStore::reject(
+            why, "build fingerprint mismatch (record " + v +
+                     ", binary " + stamp_ + ")");
+    if (!rd.field("key", v) || v != key || keyFingerprint(v) != fp)
+        return RecordStore::reject(
+            why, "canonical key mismatch (alien record)");
 
     SolveResult res;
-    if (!rd.field("hasall", v) || (v != "0" && v != "1"))
-        return reject("malformed hasall field");
-    has_all = v == "1";
-
-    if (!rd.field("stats", v))
-        return reject("missing stats line");
-    {
-        std::istringstream ss(v);
-        EngineStats &st = res.stats;
-        std::uint64_t peak = 0;
-        const bool ok = parseU64(ss, st.partitionsEnumerated) &&
-                        parseU64(ss, st.partitionsInfeasible) &&
-                        parseU64(ss, st.solutionsBuilt) &&
-                        parseU64(ss, st.areaPruned) &&
-                        parseU64(ss, st.timePruned) &&
-                        parseU64(ss, peak) &&
-                        parseInt(ss, st.jobsUsed) &&
-                        parseDouble(ss, st.setupSeconds) &&
-                        parseDouble(ss, st.evaluateSeconds) &&
-                        parseDouble(ss, st.filterSeconds) &&
-                        parseDouble(ss, st.totalSeconds);
-        if (!ok)
-            return reject("malformed stats line");
-        st.peakLiveSolutions = static_cast<std::size_t>(peak);
-    }
-
-    if (!rd.field("best", v) || !decodeSolution(v, res.best))
-        return reject("malformed best solution");
-
-    const auto read_list = [&](const char *name,
-                               std::vector<Solution> &list) {
-        if (!rd.field(name, v))
-            return false;
-        const std::size_t n = std::strtoull(v.c_str(), nullptr, 10);
-        list.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            Solution s;
-            if (!rd.field("s", v) || !decodeSolution(v, s))
-                return false;
-            list.push_back(std::move(s));
-        }
-        return true;
+    bool all = false;
+    const auto list = [&](const char *name, std::vector<Solution> &l) {
+        std::size_t n = 0;
+        bool ok = rd.count(name, n);
+        l.resize(ok ? n : 0);
+        for (Solution &s : l)
+            ok = ok && rd.field("s", v) && decodeSolution(v, s);
+        return ok;
     };
-    if (!read_list("filtered", res.filtered))
-        return reject("malformed filtered solution list");
-    if (!read_list("all", res.all))
-        return reject("malformed all solution list");
+    const bool ok = rd.field("hasall", v) && util::Tokens(v)(all) &&
+                    rd.field("stats", v) &&
+                    statsFields(res.stats, util::Tokens(v)) &&
+                    rd.field("best", v) && decodeSolution(v, res.best) &&
+                    list("filtered", res.filtered) &&
+                    list("all", res.all);
+    if (!ok)
+        return RecordStore::reject(why, "malformed payload");
 
+    // One canonical spelling per record: anything the parse tolerated
+    // (leading zeros, trailing tokens or lines) would not re-encode to
+    // these bytes.
+    if (encodeRecord(key, res, all) != bytes)
+        return RecordStore::reject(why, "non-canonical record");
+    has_all = all;
     out = std::move(res);
-    return Load::Loaded;
+    return RecordStore::Load::Loaded;
 }
 
 void

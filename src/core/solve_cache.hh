@@ -18,13 +18,13 @@
  * engine threads may hit one cache concurrently (TSan-tested).
  *
  * Durability: with `diskDir` set, every insert also writes one
- * `sc-<fingerprint>.v1` record ("cactid-cache-v1", written via the
- * shared atomic-file helper, crc-guarded) and a memory miss falls
- * back to the directory.  Records are stamped with the build
- * fingerprint of the binary that wrote them: a record written by a
- * different model build, a torn write, or an alien file is rejected
- * (engine.cache.rejected, one-line warning) and re-solved — stale
- * models never serve.
+ * `sc-<fingerprint>.v1` record ("cactid-cache-v1") through the shared
+ * record store (util/record_store.hh: crc frame, atomic write) and a
+ * memory miss falls back to the directory.  Records are stamped with
+ * the build fingerprint of the binary that wrote them: a record
+ * written by a different model build, a torn write, or an alien file
+ * is rejected (engine.cache.rejected, one-line warning) and re-solved
+ * — stale models never serve.
  */
 
 #ifndef CACTID_CORE_SOLVE_CACHE_HH
@@ -42,6 +42,7 @@
 
 #include "core/fingerprint.hh"
 #include "core/result.hh"
+#include "util/record_store.hh"
 
 namespace cactid {
 
@@ -124,6 +125,13 @@ public:
 
     const SolveCacheConfig &config() const { return cfg_; }
 
+    /**
+     * Why the disk directory could not be created (empty when it
+     * exists or no disk store is configured).  Writes still try and
+     * warn; tools turn a non-empty value into a usage error.
+     */
+    const std::string &diskError() const { return diskError_; }
+
     /** Build stamp actually in force (config override or default). */
     const std::string &buildStamp() const { return stamp_; }
 
@@ -141,21 +149,16 @@ public:
                              const SolveResult &res,
                              bool has_all) const;
 
-    /** decodeRecord outcome. */
-    enum class Load : std::uint8_t {
-        Loaded,   ///< @p out holds the persisted result
-        Rejected, ///< torn, corrupt, stale build, or alien record
-    };
-
     /**
      * Parse + validate @p bytes against (@p fp, @p key); Rejected on
      * any defect (bad crc, wrong version header, wrong build stamp,
-     * wrong key).  @p why receives a one-line reason when non-null.
+     * wrong key, a record that does not re-encode to the same bytes).
+     * @p why receives a one-line reason when non-null.
      */
-    Load decodeRecord(const std::string &bytes,
-                      const ConfigFingerprint &fp,
-                      const std::string &key, SolveResult &out,
-                      bool &has_all, std::string *why = nullptr) const;
+    util::RecordStore::Load
+    decodeRecord(const std::string &bytes, const ConfigFingerprint &fp,
+                 const std::string &key, SolveResult &out, bool &has_all,
+                 std::string *why = nullptr) const;
 
     /** On-disk record path of @p fp (empty when no disk store). */
     std::string recordPath(const ConfigFingerprint &fp) const;
@@ -178,6 +181,7 @@ private:
         std::size_t bytes = 0;
     };
 
+    static std::string recordName(const ConfigFingerprint &fp);
     Shard &shardFor(const ConfigFingerprint &fp);
     void storeLocked(Shard &sh, const ConfigFingerprint &fp,
                      const std::string &key, const SolveResult &res,
@@ -188,6 +192,8 @@ private:
     void warnOnce(const std::string &msg);
 
     SolveCacheConfig cfg_;
+    util::RecordStore disk_; ///< codec-only when diskDir is empty
+    std::string diskError_;
     std::string stamp_;
     std::size_t maxEntriesPerShard_;
     std::size_t maxBytesPerShard_;

@@ -6,36 +6,21 @@
 #include "sim/resilience.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
-
-#include <sys/stat.h>
 
 #include "obs/numfmt.hh"
 #include "sim/runner.hh"
 #include "sim/thermal/thermal.hh"
-#include "util/atomic_file.hh"
 #include "util/hash.hh"
 
 namespace archsim {
 
+using cactid::util::hex16;
+using cactid::util::joinFields;
+using cactid::util::Tokens;
+
 namespace {
-
-std::string
-num(double v)
-{
-    return cactid::obs::fmtDouble(v);
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 const char *
 siteWord(FaultSite site, FaultAction action)
@@ -206,14 +191,6 @@ FaultPlan::canonical() const
     return out;
 }
 
-std::uint64_t
-fnv1a64(std::string_view data)
-{
-    // One shared implementation: checkpoint records and solve-cache
-    // records must keep hashing identically.
-    return cactid::util::fnv1a64(data);
-}
-
 std::string
 sweepFingerprint(std::uint64_t instr_per_thread, Cycle epoch_cycles,
                  bool exact_events, bool thermal, Cycle max_cycles)
@@ -231,162 +208,54 @@ sweepFingerprint(std::uint64_t instr_per_thread, Cycle epoch_cycles,
     return s;
 }
 
-CheckpointStore::CheckpointStore(std::string dir,
-                                 std::string fingerprint)
-    : dir_(std::move(dir)), fp_(std::move(fingerprint))
-{}
-
-bool
-CheckpointStore::ensureDir(std::string *err) const
-{
-    if (::mkdir(dir_.c_str(), 0755) == 0 || errno == EEXIST)
-        return true;
-    if (err)
-        *err = "cannot create checkpoint directory " + dir_;
-    return false;
-}
-
-std::string
-CheckpointStore::path(const std::string &config,
-                      const std::string &workload) const
-{
-    const std::uint64_t key =
-        fnv1a64(fp_ + "|" + config + "|" + workload);
-    return dir_ + "/run-" + hex16(key) + ".ckpt";
-}
-
-std::string
-CheckpointStore::encode(const RunResult &r) const
-{
-    const std::uint64_t key =
-        fnv1a64(fp_ + "|" + r.config + "|" + r.workload);
-    std::ostringstream os;
-    os << "cactid-ckpt-v1\n";
-    os << "key " << hex16(key) << "\n";
-    os << "config " << r.config << "\n";
-    os << "workload " << r.workload << "\n";
-    os << "status " << runStatusName(r.status) << "\n";
-    os << "attempts " << r.attempts << "\n";
-    os << "error.phase " << cactid::obs::jsonEscape(r.error.phase)
-       << "\n";
-    os << "error.cycle " << r.error.cycle << "\n";
-    os << "error.message "
-       << cactid::obs::jsonEscape(r.error.message) << "\n";
-
-    const SimStats &s = r.stats;
-    os << "stats " << s.cycles << ' ' << s.instructions << ' '
-       << num(s.ipc) << ' ' << num(s.avgReadLatency) << ' '
-       << num(s.fInstruction) << ' ' << num(s.fL2) << ' '
-       << num(s.fL3) << ' ' << num(s.fMemory) << ' '
-       << num(s.fBarrier) << ' ' << num(s.fLock) << ' '
-       << s.hier.l1Reads << ' ' << s.hier.l1Writes << ' '
-       << s.hier.l2Reads << ' ' << s.hier.l2Writes << ' '
-       << s.hier.l2Misses << ' ' << s.hier.xbarTransfers << ' '
-       << s.hier.c2cTransfers << ' ' << s.dram.activates << ' '
-       << s.dram.reads << ' ' << s.dram.writes << ' '
-       << s.dram.rowHits << ' ' << s.dram.busBytes << ' '
-       << s.dram.powerDownEntries << ' ' << s.dram.powerDownCycles
-       << ' ' << s.dram.refreshes << ' '
-       << num(s.memPoweredDownFraction) << ' ' << s.llcReads << ' '
-       << s.llcWrites << ' ' << s.llcHits << ' ' << s.llcMisses << ' '
-       << s.llcPageHits << ' ' << s.llcPageMisses << "\n";
-
-    const PowerBreakdown &b = r.power;
-    os << "power " << num(b.l1Leak) << ' ' << num(b.l1Dyn) << ' '
-       << num(b.l2Leak) << ' ' << num(b.l2Dyn) << ' '
-       << num(b.xbarLeak) << ' ' << num(b.xbarDyn) << ' '
-       << num(b.l3Leak) << ' ' << num(b.l3Dyn) << ' '
-       << num(b.l3Refresh) << ' ' << num(b.mainDyn) << ' '
-       << num(b.mainStandby) << ' ' << num(b.mainRefresh) << ' '
-       << num(b.bus) << ' ' << num(b.corePower) << ' '
-       << num(b.execSeconds) << "\n";
-
-    os << "thermal " << num(r.thermal.maxTemp) << ' '
-       << num(r.thermal.maxTempTopDie) << ' '
-       << num(r.thermal.maxTempBottomDie) << "\n";
-
-    os << "epochs " << r.epochs.size() << "\n";
-    for (const EpochSample &e : r.epochs) {
-        os << "e " << e.index << ' ' << e.beginCycle << ' '
-           << e.endCycle << ' ' << e.instructions << ' ' << e.l1Reads
-           << ' ' << e.l1Writes << ' ' << e.l2Reads << ' '
-           << e.l2Writes << ' ' << e.l2Misses << ' '
-           << e.xbarTransfers << ' ' << e.llcReads << ' '
-           << e.llcWrites << ' ' << e.llcHits << ' ' << e.llcMisses
-           << ' ' << e.dramActivates << ' ' << e.dramReads << ' '
-           << e.dramWrites << ' ' << e.dramRowHits << ' '
-           << e.dramBusBytes << ' ' << num(e.poweredDownFraction)
-           << ' ' << num(e.ipc) << ' ' << num(e.l2Mpki) << ' '
-           << num(e.l3Mpki) << ' ' << num(e.dramBandwidthGBs) << ' '
-           << num(e.memHierPowerW) << ' ' << num(e.stackTempK)
-           << "\n";
-    }
-    std::string body = os.str();
-    body += "crc " + hex16(fnv1a64(body)) + "\n";
-    return body;
-}
-
-bool
-CheckpointStore::save(const RunResult &r, std::string *err) const
-{
-    return cactid::util::writeFileAtomic(path(r.config, r.workload),
-                                         encode(r), err);
-}
-
 namespace {
 
-/** Pull the `word rest-of-line` lines of a record apart. */
-class RecordReader
+// One field list per payload line, shared by encode (joinFields) and
+// decode (Tokens), so the two can never disagree on order or arity.
+
+template <class S, class F>
+auto
+statsFields(S &s, F &&f)
 {
-  public:
-    explicit RecordReader(const std::string &bytes) : ss_(bytes) {}
-
-    /** Next line; false at end of record. */
-    bool
-    next(std::string &line)
-    {
-        return static_cast<bool>(std::getline(ss_, line));
-    }
-
-    /** Expect a `key value` line; value is the rest of the line. */
-    bool
-    field(const char *key, std::string &value)
-    {
-        std::string line;
-        if (!next(line))
-            return false;
-        const std::string prefix = std::string(key) + " ";
-        if (line.compare(0, prefix.size(), prefix) != 0) {
-            // `key` alone (empty value) is also accepted.
-            if (line == key) {
-                value.clear();
-                return true;
-            }
-            return false;
-        }
-        value = line.substr(prefix.size());
-        return true;
-    }
-
-  private:
-    std::istringstream ss_;
-};
-
-bool
-parseU64(std::istringstream &ss, std::uint64_t &out)
-{
-    return static_cast<bool>(ss >> out);
+    return f(s.cycles, s.instructions, s.ipc, s.avgReadLatency,
+             s.fInstruction, s.fL2, s.fL3, s.fMemory, s.fBarrier, s.fLock,
+             s.hier.l1Reads, s.hier.l1Writes, s.hier.l2Reads,
+             s.hier.l2Writes, s.hier.l2Misses, s.hier.xbarTransfers,
+             s.hier.c2cTransfers, s.dram.activates, s.dram.reads,
+             s.dram.writes, s.dram.rowHits, s.dram.busBytes,
+             s.dram.powerDownEntries, s.dram.powerDownCycles,
+             s.dram.refreshes, s.memPoweredDownFraction, s.llcReads,
+             s.llcWrites, s.llcHits, s.llcMisses, s.llcPageHits,
+             s.llcPageMisses);
 }
 
-bool
-parseDouble(std::istringstream &ss, double &out)
+template <class P, class F>
+auto
+powerFields(P &b, F &&f)
 {
-    std::string tok;
-    if (!(ss >> tok))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size();
+    return f(b.l1Leak, b.l1Dyn, b.l2Leak, b.l2Dyn, b.xbarLeak, b.xbarDyn,
+             b.l3Leak, b.l3Dyn, b.l3Refresh, b.mainDyn, b.mainStandby,
+             b.mainRefresh, b.bus, b.corePower, b.execSeconds);
+}
+
+template <class T, class F>
+auto
+thermalFields(T &t, F &&f)
+{
+    return f(t.maxTemp, t.maxTempTopDie, t.maxTempBottomDie);
+}
+
+template <class E, class F>
+auto
+epochFields(E &e, F &&f)
+{
+    return f(e.index, e.beginCycle, e.endCycle, e.instructions, e.l1Reads,
+             e.l1Writes, e.l2Reads, e.l2Writes, e.l2Misses,
+             e.xbarTransfers, e.llcReads, e.llcWrites, e.llcHits,
+             e.llcMisses, e.dramActivates, e.dramReads, e.dramWrites,
+             e.dramRowHits, e.dramBusBytes, e.poweredDownFraction, e.ipc,
+             e.l2Mpki, e.l3Mpki, e.dramBandwidthGBs, e.memHierPowerW,
+             e.stackTempK);
 }
 
 /** Undo jsonEscape for the subset it emits (\" \\ \n \r \t \uXXXX). */
@@ -429,188 +298,129 @@ unescape(const std::string &s)
 
 } // namespace
 
-CheckpointStore::Load
-CheckpointStore::decode(const std::string &bytes,
-                        RunResult &out) const
-{
-    // Integrity first: the record must end with a `crc` line whose
-    // FNV-1a matches everything before it.  A torn write (partial
-    // payload, missing tail) or a flipped byte both fail here.
-    const std::size_t crc_pos = bytes.rfind("crc ");
-    if (crc_pos == std::string::npos ||
-        (crc_pos != 0 && bytes[crc_pos - 1] != '\n'))
-        return Load::Invalid;
-    // The crc must be the exact final line ("crc " + 16 hex + "\n"):
-    // a stripped newline or appended bytes are torn records too.
-    const std::string_view tail =
-        std::string_view(bytes).substr(crc_pos);
-    if (tail.size() != 4 + 16 + 1 || tail.back() != '\n')
-        return Load::Invalid;
-    const std::string crc_hex(tail.substr(4, 16));
-    if (crc_hex.find_first_not_of("0123456789abcdef") !=
-        std::string::npos)
-        return Load::Invalid;
-    if (std::strtoull(crc_hex.c_str(), nullptr, 16) !=
-        fnv1a64(std::string_view(bytes).substr(0, crc_pos)))
-        return Load::Invalid;
+CheckpointStore::CheckpointStore(std::string dir,
+                                 std::string fingerprint)
+    : RecordStore(std::move(dir), "cactid-ckpt-v1"),
+      fp_(std::move(fingerprint))
+{}
 
-    RecordReader rd(bytes);
-    std::string line, v;
-    if (!rd.next(line) || line != "cactid-ckpt-v1")
-        return Load::Invalid;
+std::uint64_t
+CheckpointStore::key(const std::string &config,
+                     const std::string &workload) const
+{
+    return cactid::util::fnv1a64(fp_ + "|" + config + "|" + workload);
+}
+
+std::string
+CheckpointStore::name(const std::string &config,
+                      const std::string &workload) const
+{
+    return "run-" + hex16(key(config, workload)) + ".ckpt";
+}
+
+std::string
+CheckpointStore::path(const std::string &config,
+                      const std::string &workload) const
+{
+    return RecordStore::path(name(config, workload));
+}
+
+std::string
+CheckpointStore::encode(const RunResult &r) const
+{
+    std::ostringstream os;
+    os << "key " << hex16(key(r.config, r.workload)) << "\n";
+    os << "config " << r.config << "\n";
+    os << "workload " << r.workload << "\n";
+    os << "status " << runStatusName(r.status) << "\n";
+    os << "attempts " << r.attempts << "\n";
+    os << "error.phase " << cactid::obs::jsonEscape(r.error.phase)
+       << "\n";
+    os << "error.cycle " << r.error.cycle << "\n";
+    os << "error.message "
+       << cactid::obs::jsonEscape(r.error.message) << "\n";
+    os << "stats " << statsFields(r.stats, joinFields) << "\n";
+    os << "power " << powerFields(r.power, joinFields) << "\n";
+    os << "thermal " << thermalFields(r.thermal, joinFields) << "\n";
+    os << "epochs " << r.epochs.size() << "\n";
+    for (const EpochSample &e : r.epochs)
+        os << "e " << epochFields(e, joinFields) << "\n";
+    return seal(os.str());
+}
+
+bool
+CheckpointStore::save(const RunResult &r, std::string *err) const
+{
+    return RecordStore::save(name(r.config, r.workload), encode(r),
+                             err);
+}
+
+CheckpointStore::Load
+CheckpointStore::decode(const std::string &bytes, RunResult &out,
+                        std::string *why) const
+{
+    auto rd = open(bytes);
+    if (!rd.ok())
+        return reject(why, rd.why());
 
     RunResult r;
-    std::string key_hex;
-    if (!rd.field("key", key_hex))
-        return Load::Invalid;
-    if (!rd.field("config", r.config) ||
+    std::string key_hex, v;
+    if (!rd.field("key", key_hex) || !rd.field("config", r.config) ||
         !rd.field("workload", r.workload))
-        return Load::Invalid;
+        return reject(why, "missing run identity");
     // Reject records keyed under different sweep options: the hash
     // covers the fingerprint, so a stale directory cannot leak runs
     // simulated with, say, a different instruction budget.
-    const std::uint64_t want =
-        fnv1a64(fp_ + "|" + r.config + "|" + r.workload);
-    if (std::strtoull(key_hex.c_str(), nullptr, 16) != want)
-        return Load::Invalid;
+    if (key_hex != hex16(key(r.config, r.workload)))
+        return reject(why, "sweep key mismatch (stale or alien record)");
 
-    if (!rd.field("status", v) || !parseRunStatus(v, r.status))
-        return Load::Invalid;
-    if (!rd.field("attempts", v))
-        return Load::Invalid;
-    r.attempts = std::atoi(v.c_str());
-    if (r.attempts <= 0)
-        return Load::Invalid;
-    if (!rd.field("error.phase", v))
-        return Load::Invalid;
-    r.error.phase = unescape(v);
-    if (!rd.field("error.cycle", v))
-        return Load::Invalid;
-    r.error.cycle = std::strtoull(v.c_str(), nullptr, 10);
-    if (!rd.field("error.message", v))
-        return Load::Invalid;
-    r.error.message = unescape(v);
+    std::string phase, message;
+    std::size_t n_epochs = 0;
+    bool ok = rd.field("status", v) && parseRunStatus(v, r.status) &&
+              rd.field("attempts", v) && Tokens(v)(r.attempts) &&
+              r.attempts > 0 && rd.field("error.phase", phase) &&
+              rd.field("error.cycle", v) && Tokens(v)(r.error.cycle) &&
+              rd.field("error.message", message) &&
+              rd.field("stats", v) && statsFields(r.stats, Tokens(v)) &&
+              rd.field("power", v) && powerFields(r.power, Tokens(v)) &&
+              rd.field("thermal", v) &&
+              thermalFields(r.thermal, Tokens(v)) &&
+              rd.count("epochs", n_epochs);
+    r.epochs.resize(ok ? n_epochs : 0);
+    for (EpochSample &e : r.epochs)
+        ok = ok && rd.field("e", v) && epochFields(e, Tokens(v));
+    if (!ok)
+        return reject(why, "malformed payload");
+    r.error.phase = unescape(phase);
+    r.error.message = unescape(message);
+    r.stats.config = r.config;
+    r.stats.workload = r.workload;
 
-    if (!rd.field("stats", v))
-        return Load::Invalid;
-    {
-        std::istringstream ss(v);
-        SimStats &s = r.stats;
-        HierCounters &h = s.hier;
-        DramCounters &d = s.dram;
-        const bool ok =
-            parseU64(ss, s.cycles) && parseU64(ss, s.instructions) &&
-            parseDouble(ss, s.ipc) &&
-            parseDouble(ss, s.avgReadLatency) &&
-            parseDouble(ss, s.fInstruction) &&
-            parseDouble(ss, s.fL2) && parseDouble(ss, s.fL3) &&
-            parseDouble(ss, s.fMemory) &&
-            parseDouble(ss, s.fBarrier) && parseDouble(ss, s.fLock) &&
-            parseU64(ss, h.l1Reads) && parseU64(ss, h.l1Writes) &&
-            parseU64(ss, h.l2Reads) && parseU64(ss, h.l2Writes) &&
-            parseU64(ss, h.l2Misses) &&
-            parseU64(ss, h.xbarTransfers) &&
-            parseU64(ss, h.c2cTransfers) &&
-            parseU64(ss, d.activates) && parseU64(ss, d.reads) &&
-            parseU64(ss, d.writes) && parseU64(ss, d.rowHits) &&
-            parseU64(ss, d.busBytes) &&
-            parseU64(ss, d.powerDownEntries) &&
-            parseU64(ss, d.powerDownCycles) &&
-            parseU64(ss, d.refreshes) &&
-            parseDouble(ss, s.memPoweredDownFraction) &&
-            parseU64(ss, s.llcReads) && parseU64(ss, s.llcWrites) &&
-            parseU64(ss, s.llcHits) && parseU64(ss, s.llcMisses) &&
-            parseU64(ss, s.llcPageHits) &&
-            parseU64(ss, s.llcPageMisses);
-        if (!ok)
-            return Load::Invalid;
-        s.config = r.config;
-        s.workload = r.workload;
-    }
-
-    if (!rd.field("power", v))
-        return Load::Invalid;
-    {
-        std::istringstream ss(v);
-        PowerBreakdown &b = r.power;
-        const bool ok =
-            parseDouble(ss, b.l1Leak) && parseDouble(ss, b.l1Dyn) &&
-            parseDouble(ss, b.l2Leak) && parseDouble(ss, b.l2Dyn) &&
-            parseDouble(ss, b.xbarLeak) &&
-            parseDouble(ss, b.xbarDyn) && parseDouble(ss, b.l3Leak) &&
-            parseDouble(ss, b.l3Dyn) && parseDouble(ss, b.l3Refresh) &&
-            parseDouble(ss, b.mainDyn) &&
-            parseDouble(ss, b.mainStandby) &&
-            parseDouble(ss, b.mainRefresh) && parseDouble(ss, b.bus) &&
-            parseDouble(ss, b.corePower) &&
-            parseDouble(ss, b.execSeconds);
-        if (!ok)
-            return Load::Invalid;
-    }
-
-    if (!rd.field("thermal", v))
-        return Load::Invalid;
-    {
-        std::istringstream ss(v);
-        const bool ok = parseDouble(ss, r.thermal.maxTemp) &&
-                        parseDouble(ss, r.thermal.maxTempTopDie) &&
-                        parseDouble(ss, r.thermal.maxTempBottomDie);
-        if (!ok)
-            return Load::Invalid;
-    }
-
-    if (!rd.field("epochs", v))
-        return Load::Invalid;
-    const std::size_t n_epochs = std::strtoull(v.c_str(), nullptr, 10);
-    r.epochs.reserve(n_epochs);
-    for (std::size_t i = 0; i < n_epochs; ++i) {
-        if (!rd.field("e", v))
-            return Load::Invalid;
-        std::istringstream ss(v);
-        EpochSample e;
-        std::uint64_t idx = 0;
-        const bool ok =
-            parseU64(ss, idx) && parseU64(ss, e.beginCycle) &&
-            parseU64(ss, e.endCycle) &&
-            parseU64(ss, e.instructions) && parseU64(ss, e.l1Reads) &&
-            parseU64(ss, e.l1Writes) && parseU64(ss, e.l2Reads) &&
-            parseU64(ss, e.l2Writes) && parseU64(ss, e.l2Misses) &&
-            parseU64(ss, e.xbarTransfers) &&
-            parseU64(ss, e.llcReads) && parseU64(ss, e.llcWrites) &&
-            parseU64(ss, e.llcHits) && parseU64(ss, e.llcMisses) &&
-            parseU64(ss, e.dramActivates) &&
-            parseU64(ss, e.dramReads) && parseU64(ss, e.dramWrites) &&
-            parseU64(ss, e.dramRowHits) &&
-            parseU64(ss, e.dramBusBytes) &&
-            parseDouble(ss, e.poweredDownFraction) &&
-            parseDouble(ss, e.ipc) && parseDouble(ss, e.l2Mpki) &&
-            parseDouble(ss, e.l3Mpki) &&
-            parseDouble(ss, e.dramBandwidthGBs) &&
-            parseDouble(ss, e.memHierPowerW) &&
-            parseDouble(ss, e.stackTempK);
-        if (!ok)
-            return Load::Invalid;
-        e.index = static_cast<int>(idx);
-        r.epochs.push_back(e);
-    }
-
+    // One canonical spelling per record: anything the parse tolerated
+    // (leading zeros, stray escapes, trailing tokens or lines) would
+    // not re-encode to these bytes.
+    if (encode(r) != bytes)
+        return reject(why, "non-canonical record");
     out = std::move(r);
     return Load::Loaded;
 }
 
 CheckpointStore::Load
 CheckpointStore::load(const std::string &config,
-                      const std::string &workload,
-                      RunResult &out) const
+                      const std::string &workload, RunResult &out,
+                      std::string *why) const
 {
-    std::string bytes;
-    if (!cactid::util::readFile(path(config, workload), bytes))
-        return Load::Missing;
-    const Load res = decode(bytes, out);
-    if (res == Load::Loaded &&
-        (out.config != config || out.workload != workload))
-        return Load::Invalid;
-    return res;
+    return RecordStore::load(
+        name(config, workload), [&](const std::string &bytes) {
+            RunResult r;
+            const Load got = decode(bytes, r, why);
+            if (got != Load::Loaded)
+                return got;
+            if (r.config != config || r.workload != workload)
+                return reject(why, "record of another run (alien)");
+            out = std::move(r);
+            return Load::Loaded;
+        });
 }
 
 } // namespace archsim

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "sim/common.hh"
+#include "util/record_store.hh"
 
 namespace archsim {
 
@@ -164,9 +165,6 @@ struct FaultPlan {
     std::string canonical() const;
 };
 
-/** FNV-1a 64-bit hash (checkpoint keys and record checksums). */
-std::uint64_t fnv1a64(std::string_view data);
-
 /**
  * Canonical fingerprint of the sweep-level options that determine a
  * run's results.  Two sweeps sharing this string (and the study) may
@@ -181,26 +179,16 @@ std::string sweepFingerprint(std::uint64_t instr_per_thread,
                              bool thermal, Cycle max_cycles);
 
 /**
- * Per-run atomic checkpoint store: one `run-<hash>.ckpt` record per
- * completed run under a directory, written via the shared atomic
- * write helper (util/atomic_file.hh) and guarded by a trailing FNV
- * checksum, so a sweep killed mid-write never leaves a record a
- * later --resume would trust.
+ * Per-run checkpoint store: one `run-<hash>.ckpt` record
+ * (`cactid-ckpt-v1`) per completed run under a directory.  The frame,
+ * atomic write, directory and reject outcome are the shared record
+ * store's (util/record_store.hh); this class is the codec of the
+ * RunResult payload and its sweep-key identity check.
  */
-class CheckpointStore
+class CheckpointStore : public cactid::util::RecordStore
 {
   public:
-    /** Outcome of loading one record. */
-    enum class Load : std::uint8_t {
-        Missing, ///< no record on disk
-        Invalid, ///< torn, corrupt, or from a different sweep
-        Loaded,  ///< @p out is the persisted RunResult
-    };
-
     CheckpointStore(std::string dir, std::string fingerprint);
-
-    /** Create the directory if needed; false (with @p err) on failure. */
-    bool ensureDir(std::string *err = nullptr) const;
 
     /** Record path of one (config, workload) run. */
     std::string path(const std::string &config,
@@ -215,19 +203,30 @@ class CheckpointStore
 
     /** Load and validate the record for (config, workload). */
     Load load(const std::string &config, const std::string &workload,
-              RunResult &out) const;
+              RunResult &out, std::string *why = nullptr) const;
 
-    const std::string &dir() const { return dir_; }
     const std::string &fingerprint() const { return fp_; }
 
     /** Serialize a record to the cactid-ckpt-v1 text format. */
     std::string encode(const RunResult &r) const;
 
-    /** Parse + validate a record; Load::Invalid on any defect. */
-    Load decode(const std::string &bytes, RunResult &out) const;
+    /**
+     * Parse + validate a record; Rejected (with a one-line @p why)
+     * on any defect, including a record that does not re-encode to
+     * the same bytes.
+     */
+    Load decode(const std::string &bytes, RunResult &out,
+                std::string *why = nullptr) const;
 
   private:
-    std::string dir_;
+    /** Record key: FNV-1a of fingerprint | config | workload. */
+    std::uint64_t key(const std::string &config,
+                      const std::string &workload) const;
+
+    /** `run-<key hex>.ckpt`. */
+    std::string name(const std::string &config,
+                     const std::string &workload) const;
+
     std::string fp_;
 };
 

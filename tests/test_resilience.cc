@@ -25,6 +25,7 @@
 #include "sim/resilience.hh"
 #include "sim/runner.hh"
 #include "util/atomic_file.hh"
+#include "util/hash.hh"
 
 using namespace archsim;
 
@@ -273,17 +274,17 @@ TEST_F(ResilienceTest, CheckpointRejectsTornAndCorruptRecords)
     for (std::size_t cut : {std::size_t(0), std::size_t(1),
                             good.size() / 2, good.size() - 1}) {
         EXPECT_EQ(store.decode(good.substr(0, cut), out),
-                  CheckpointStore::Load::Invalid)
+                  CheckpointStore::Load::Rejected)
             << "cut=" << cut;
     }
     // A single flipped byte breaks the trailing checksum.
     std::string flipped = good;
     flipped[good.size() / 3] ^= 0x01;
     EXPECT_EQ(store.decode(flipped, out),
-              CheckpointStore::Load::Invalid);
+              CheckpointStore::Load::Rejected);
     // Appended garbage is torn too (checksum covers the whole body).
     EXPECT_EQ(store.decode(good + "trailing\n", out),
-              CheckpointStore::Load::Invalid);
+              CheckpointStore::Load::Rejected);
     // The untouched record still loads.
     EXPECT_EQ(store.decode(good, out), CheckpointStore::Load::Loaded);
 }
@@ -315,6 +316,27 @@ TEST_F(ResilienceTest, CheckpointMissingRecordIsMissing)
     RunResult out;
     EXPECT_EQ(store.load("nol3", "ft.B", out),
               CheckpointStore::Load::Missing);
+}
+
+TEST_F(ResilienceTest, CheckpointLyingEpochCountIsRejectedNotFatal)
+{
+    // A crc-valid record whose epoch count promises more lines than
+    // it holds must be rejected (and the run re-executed), never
+    // turned into a huge allocation.
+    RunResult r;
+    r.config = "nol3";
+    r.workload = "ft.B";
+    r.epochs.resize(1);
+    const CheckpointStore store(tempDir("ckpt_lying_count"), "fp-test");
+    std::string rec = store.encode(r);
+    const std::size_t at = rec.find("\nepochs 1\n");
+    ASSERT_NE(at, std::string::npos);
+    rec.replace(at, 10, "\nepochs 4000000000000000000\n");
+    rec.erase(rec.rfind("crc "));
+    rec += "crc " + cactid::util::hex16(cactid::util::fnv1a64(rec)) + "\n";
+
+    RunResult out;
+    EXPECT_EQ(store.decode(rec, out), CheckpointStore::Load::Rejected);
 }
 
 // ---------------------------------------------------------------- //

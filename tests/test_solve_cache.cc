@@ -20,6 +20,7 @@
 #include "core/solve_cache.hh"
 #include "obs/registry.hh"
 #include "util/atomic_file.hh"
+#include "util/hash.hh"
 
 namespace {
 
@@ -515,14 +516,35 @@ TEST(SolveCacheDisk, DecodeRecordReportsDefects)
     std::string why;
     EXPECT_EQ(cache.decodeRecord(rec, fx.fp, fx.key, out, has_all,
                                  &why),
-              SolveCache::Load::Loaded);
+              util::RecordStore::Load::Loaded);
     EXPECT_TRUE(has_all);
     expectIdenticalResult(out, fx.res);
 
     EXPECT_EQ(cache.decodeRecord("not a record", fx.fp, fx.key, out,
                                  has_all, &why),
-              SolveCache::Load::Rejected);
+              util::RecordStore::Load::Rejected);
     EXPECT_FALSE(why.empty());
+}
+
+TEST(SolveCacheDisk, LyingSolutionCountIsRejectedNotFatal)
+{
+    // A crc-valid record whose `filtered` count promises more lines
+    // than it holds must be rejected (and the config re-solved),
+    // never turned into a huge allocation.
+    const DiskFixture fx("sc_lying_count");
+    SolveCache cache(fx.config("stamp-a"));
+    std::string rec = cache.encodeRecord(fx.key, fx.res, true);
+    const std::size_t at = rec.find("\nfiltered ");
+    ASSERT_NE(at, std::string::npos);
+    rec.replace(at, rec.find('\n', at + 1) - at,
+                "\nfiltered 4000000000000000000");
+    rec.erase(rec.rfind("crc "));
+    rec += "crc " + util::hex16(util::fnv1a64(rec)) + "\n";
+
+    SolveResult out;
+    bool has_all = false;
+    EXPECT_EQ(cache.decodeRecord(rec, fx.fp, fx.key, out, has_all),
+              util::RecordStore::Load::Rejected);
 }
 
 // --- Registry + global install --------------------------------------

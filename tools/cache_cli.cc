@@ -34,7 +34,13 @@ installSolveCache(const std::string &mode, const std::string &dir,
         return true; // default: no cache, exactly as before
     SolveCacheConfig cfg;
     cfg.diskDir = dir;
-    g_installed = std::make_unique<SolveCache>(std::move(cfg));
+    auto cache = std::make_unique<SolveCache>(std::move(cfg));
+    if (!cache->diskError().empty()) {
+        if (err)
+            *err = "--cache-dir: " + cache->diskError();
+        return false;
+    }
+    g_installed = std::move(cache);
     setGlobalSolveCache(g_installed.get());
     return true;
 }

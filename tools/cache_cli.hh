@@ -35,8 +35,9 @@ namespace cactid::tools {
  *
  * @param mode "" (on iff @p dir non-empty), "on", or "off"
  * @param dir  on-disk record directory ("" = in-memory only)
- * @param err  receives a one-line diagnostic on a bad mode
- * @return false on an invalid mode (or "off" combined with a dir)
+ * @param err  receives a one-line diagnostic naming the flag
+ * @return false on an invalid mode, "off" combined with a dir, or a
+ *         directory that cannot be created (all usage errors, exit 2)
  */
 bool installSolveCache(const std::string &mode, const std::string &dir,
                        std::string *err);

@@ -51,6 +51,7 @@
  * internal error (unexpected exception, failed output write).
  */
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -544,21 +545,25 @@ main(int argc, char **argv)
         // Checkpointing hangs off the runner hooks: completed runs
         // persist atomically from the worker that ran them, and
         // --resume places Ok records back into their slots without
-        // re-executing.  A save failure degrades to a warning plus
-        // exit code 3 — the sweep itself still completes.
+        // re-executing; a rejected record re-runs (the first one is
+        // reported).  A directory that cannot be created is a usage
+        // error (exit 2) before any run starts; a save failure
+        // degrades to a warning plus exit code 3 — the sweep itself
+        // still completes.
         std::unique_ptr<CheckpointStore> store;
         std::mutex ckpt_mtx;
         std::string ckpt_err;
         bool ckpt_ok = true;
+        std::atomic<bool> ckpt_warned{false}; // first reject only
         if (!args.checkpointDir.empty()) {
             const StudyRunner probe(study, opts);
             store = std::make_unique<CheckpointStore>(
                 args.checkpointDir, probe.fingerprint());
             std::string err;
             if (!store->ensureDir(&err)) {
-                std::fprintf(stderr, "cactid-study: %s\n",
+                std::fprintf(stderr, "cactid-study: --checkpoint: %s\n",
                              err.c_str());
-                return 3;
+                return 2;
             }
             const FaultPlan plan = opts.faultPlan;
             CheckpointStore *st = store.get();
@@ -580,13 +585,23 @@ main(int argc, char **argv)
                 }
             };
             if (args.resume) {
-                opts.reuseRun = [st](std::size_t,
-                                     const std::string &config,
-                                     const std::string &workload,
-                                     RunResult &out) {
+                opts.reuseRun = [st, &ckpt_warned](
+                                    std::size_t,
+                                    const std::string &config,
+                                    const std::string &workload,
+                                    RunResult &out) {
                     RunResult r;
-                    if (st->load(config, workload, r) !=
-                        CheckpointStore::Load::Loaded)
+                    std::string why;
+                    const CheckpointStore::Load got =
+                        st->load(config, workload, r, &why);
+                    if (got == CheckpointStore::Load::Rejected &&
+                        !ckpt_warned.exchange(true))
+                        std::fprintf(stderr,
+                                     "cactid-study: rejected checkpoint "
+                                     "record %s: %s\n",
+                                     st->path(config, workload).c_str(),
+                                     why.c_str());
+                    if (got != CheckpointStore::Load::Loaded)
                         return false;
                     if (!r.ok()) // failed runs re-execute on resume
                         return false;
