@@ -15,13 +15,14 @@
  * directory's does not.
  *
  * Usage: bench_ablation_directory [--out FILE] [--reps N]
- *        (defaults: BENCH_ablation_directory.json, 2)
+ *        (defaults: no JSON file, 2)
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,7 @@ timeRun(int cores, DirectoryMode mode, SparseDirParams dir, int reps)
 int
 main(int argc, char **argv)
 {
-    std::string out_path = "BENCH_ablation_directory.json";
+    std::string out_path; // no file unless --out is given
     int reps = 2;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
@@ -104,7 +105,7 @@ main(int argc, char **argv)
 
     using cactid::obs::fmtDouble;
     using cactid::obs::jsonEscape;
-    std::ofstream os(out_path, std::ios::binary);
+    std::ostringstream os;
     os << "{\n"
        << "  \"schema\": \"cactid-bench-v1\",\n"
        << "  \"bench\": \"ablation_directory\",\n"
@@ -200,7 +201,10 @@ main(int argc, char **argv)
        << "  \"scaling_aggregates_identical\": "
        << (all_same ? "true" : "false") << "\n"
        << "}\n";
-    std::printf("wrote %s\n", out_path.c_str());
+    if (!out_path.empty()) {
+        std::ofstream(out_path, std::ios::binary) << os.str();
+        std::printf("wrote %s\n", out_path.c_str());
+    }
 
     if (!all_same)
         std::fprintf(stderr,

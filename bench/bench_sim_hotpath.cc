@@ -9,11 +9,11 @@
  * to those goldens for both serial and jobs=8 runs (the build-info
  * line carries the git describe of the producing commit, so it is the
  * one line excluded from the comparison), then times the sweep with
- * tracing off and reports simulated-cycles per wall-second into
- * BENCH_sim_hotpath.json.
+ * tracing off and reports simulated-cycles per wall-second (into the
+ * JSON file named by --out, e.g. BENCH_sim_hotpath.json).
  *
  * Usage: bench_sim_hotpath [--golden-dir DIR] [--out FILE] [--reps N]
- *        (defaults: bench/golden, BENCH_sim_hotpath.json, 3)
+ *        (defaults: bench/golden, no JSON file, 3)
  * Exit status is non-zero when any identity check fails.
  */
 
@@ -252,7 +252,7 @@ int
 main(int argc, char **argv)
 {
     std::string golden_dir = "bench/golden";
-    std::string out_path = "BENCH_sim_hotpath.json";
+    std::string out_path; // no file unless --out is given
     int reps = 3;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--golden-dir") && i + 1 < argc)
@@ -405,7 +405,7 @@ main(int argc, char **argv)
 
     using cactid::obs::fmtDouble;
     using cactid::obs::jsonEscape;
-    std::ofstream os(out_path, std::ios::binary);
+    std::ostringstream os;
     os << "{\n"
        << "  \"schema\": \"cactid-bench-v1\",\n"
        << "  \"bench\": \"sim_hotpath\",\n"
@@ -453,7 +453,10 @@ main(int argc, char **argv)
        << "  },\n"
        << "  \"reps\": " << reps << "\n"
        << "}\n";
-    std::printf("wrote %s\n", out_path.c_str());
+    if (!out_path.empty()) {
+        std::ofstream(out_path, std::ios::binary) << os.str();
+        std::printf("wrote %s\n", out_path.c_str());
+    }
 
     if (!ok)
         std::fprintf(stderr,

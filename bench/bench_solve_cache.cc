@@ -15,11 +15,12 @@
  *    cold and then warm (the exports must stay byte-identical to the
  *    goldens — a cached sweep may never change a byte).
  *
- * Results land in BENCH_solve_cache.json.
+ * Results land in the JSON file named by --out (the committed record is
+ * BENCH_solve_cache.json); without --out no file is written.
  *
  * Usage: bench_solve_cache [--golden-dir DIR] [--out FILE] [--reps N]
  *                          [--check]
- *        (defaults: bench/golden, BENCH_solve_cache.json, 5)
+ *        (defaults: bench/golden, no JSON file, 5)
  * Exit status is non-zero when an identity gate fails, or, with
  * --check, when the hot/cold speedup is below 10x.
  */
@@ -181,7 +182,7 @@ int
 main(int argc, char **argv)
 {
     std::string golden_dir = "bench/golden";
-    std::string out_path = "BENCH_solve_cache.json";
+    std::string out_path; // no file unless --out is given
     int reps = 5;
     bool check = false;
     for (int i = 1; i < argc; ++i) {
@@ -318,7 +319,7 @@ main(int argc, char **argv)
 
     using cactid::obs::fmtDouble;
     using cactid::obs::jsonEscape;
-    std::ofstream os(out_path, std::ios::binary);
+    std::ostringstream os;
     os << "{\n"
        << "  \"schema\": \"cactid-bench-v1\",\n"
        << "  \"bench\": \"solve_cache\",\n"
@@ -343,7 +344,10 @@ main(int argc, char **argv)
        << (sweep_cold_ok && sweep_warm_ok ? "true" : "false") << ",\n"
        << "  \"reps\": " << reps << "\n"
        << "}\n";
-    std::printf("wrote %s\n", out_path.c_str());
+    if (!out_path.empty()) {
+        std::ofstream(out_path, std::ios::binary) << os.str();
+        std::printf("wrote %s\n", out_path.c_str());
+    }
 
     if (!ok)
         std::fprintf(stderr, "bench_solve_cache: a gate failed\n");

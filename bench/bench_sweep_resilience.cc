@@ -7,7 +7,7 @@
  *  1. isolation: every un-faulted run still completes, and the
  *     faulted sweep is byte-identical for any jobs count;
  *  2. watchdog: a cycle budget (half the shortest clean run) converts
- *     every run to timed_out at the same deterministic cycle, serial
+ *     every run to timed_out at exactly the budget cycle, serial
  *     or pooled;
  *  3. retry: transient faults recover with the attempt recorded;
  *  4. resume: a checkpointed, fault-interrupted sweep, resumed
@@ -126,7 +126,7 @@ main(int argc, char **argv)
     }
 
     // 2. Watchdog: half the shortest clean run times every run out at
-    //    a deterministic cycle.
+    //    exactly the budget cycle.
     RunnerOptions budget = base;
     budget.maxCycles = shortest / 2;
     std::printf("watchdog budget: %llu cycles\n",
@@ -141,7 +141,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < n_runs && budget_det; ++i)
         budget_det = b_pool.runs[i].error.cycle ==
                          b_serial.runs[i].error.cycle &&
-                     b_pool.runs[i].error.cycle >= budget.maxCycles;
+                     b_pool.runs[i].error.cycle == budget.maxCycles;
     verdict("watchdog: deterministic timeout cycle", budget_det);
 
     // 3. Retry: make the seeded faults transient (fail only the

@@ -3,91 +3,34 @@
  * Paper Table 2: CACTI-D DRAM model validation against a 78 nm Micron
  * 1Gb DDR3-1066 x8 part (datasheet timing + Micron power calculator
  * energies).  Prints model vs. actual and the error, next to the error
- * the paper itself reported.
+ * the paper itself reported.  The part and its values live in
+ * table2_micron.hh, shared with the unit test that bands the average
+ * error.
  */
 
 #include <cstdio>
-#include <cmath>
 
-#include "core/cacti.hh"
-
-namespace {
-
-struct Row {
-    const char *metric;
-    double actual;
-    double model;
-    double paper_error_pct; // error the paper's CACTI-D reported
-    const char *unit;
-};
-
-void
-printRow(const Row &r)
-{
-    const double err = (r.model - r.actual) / r.actual * 100.0;
-    std::printf("%-28s %10.2f %10.2f %8.1f%% %12.1f%% %s\n", r.metric,
-                r.actual, r.model, err, r.paper_error_pct, r.unit);
-}
-
-} // namespace
+#include "table2_micron.hh"
 
 int
 main()
 {
     using namespace cactid;
 
-    MemoryConfig cfg;
-    cfg.capacityBytes = 1024.0 * 1024.0 * 1024.0 / 8.0; // 1 Gb
-    cfg.blockBytes = 8;
-    cfg.type = MemoryType::MainMemoryChip;
-    cfg.nBanks = 8;
-    cfg.featureNm = 78.0;
-    cfg.dataCellTech = RamCellTech::CommDram;
-    cfg.pageBytes = 1024; // 8 Kb page (1 Gb x8 DDR3)
-    cfg.ioBits = 8;
-    cfg.burstLength = 8;
-    cfg.prefetchWidth = 8;
-    // Commodity DRAM carries a premium on price per bit: select a high
-    // area-efficiency solution (paper section 2.5).
-    cfg.maxAreaConstraint = 0.10;
-    cfg.maxAccTimeConstraint = 1.00;
-    cfg.weights = {1.0, 0.0, 1.0, 0.0, 0.0, 4.0};
-
-    const SolveResult res = solve(cfg);
+    const SolveResult res = solve(table2::micronConfig());
     const Solution &s = res.best;
 
     std::printf("=== Table 2: DRAM validation vs 78nm Micron 1Gb "
                 "DDR3-1066 x8 ===\n");
     std::printf("%-28s %10s %10s %9s %13s\n", "Metric", "Actual",
                 "CACTI-D", "Error", "PaperError");
-    printRow({"Area efficiency", 56.0, s.areaEfficiency * 100.0, -6.2,
-              "%"});
-    printRow({"Activation delay (tRCD)", 13.1, s.tRcd * 1e9, 4.5, "ns"});
-    printRow({"CAS latency", 13.1, s.tCas * 1e9, -5.8, "ns"});
-    printRow({"Row cycle time (tRC)", 52.5, s.tRc * 1e9, -8.2, "ns"});
-    printRow({"ACTIVATE energy", 3.1, s.activateEnergy * 1e9, -25.2,
-              "nJ"});
-    printRow({"READ energy", 1.6, s.readBurstEnergy * 1e9, -32.2, "nJ"});
-    printRow({"WRITE energy", 1.8, s.writeBurstEnergy * 1e9, -33.0,
-              "nJ"});
-    printRow({"Refresh power", 3.5, s.refreshPower * 1e3, 29.0, "mW"});
-
-    const double errs[] = {
-        (s.areaEfficiency * 100.0 - 56.0) / 56.0,
-        (s.tRcd * 1e9 - 13.1) / 13.1,
-        (s.tCas * 1e9 - 13.1) / 13.1,
-        (s.tRc * 1e9 - 52.5) / 52.5,
-        (s.activateEnergy * 1e9 - 3.1) / 3.1,
-        (s.readBurstEnergy * 1e9 - 1.6) / 1.6,
-        (s.writeBurstEnergy * 1e9 - 1.8) / 1.8,
-        (s.refreshPower * 1e3 - 3.5) / 3.5,
-    };
-    double mean = 0.0;
-    for (double e : errs)
-        mean += std::fabs(e);
-    mean /= std::size(errs);
+    for (const table2::Metric &m : table2::metrics()) {
+        std::printf("%-28s %10.2f %10.2f %8.1f%% %12.1f%% %s\n", m.name,
+                    m.actual, m.model(s), table2::errorPct(m, s),
+                    m.paperErrorPct, m.unit);
+    }
     std::printf("\naverage |error|: %.1f%% (paper reports 16%%)\n",
-                mean * 100.0);
+                table2::averageAbsErrorPct(s));
     std::printf("\nchosen organization:\n%s\n", s.report().c_str());
     return 0;
 }

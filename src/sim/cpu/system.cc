@@ -19,40 +19,52 @@ namespace {
 
 /**
  * Per-run watchdog: trips the cycle budget and the injected fault at
- * the first visited cycle past their thresholds (deterministic), and
- * the wall-clock budget on a coarse iteration stride (not).
+ * their exact threshold cycles (deterministic), and polls the
+ * wall-clock budget every kWallPoll simulated cycles (not).
  */
 class BudgetGuard
 {
   public:
     BudgetGuard(const RunLimits &lim, const std::string &workload)
         : lim_(lim), workload_(workload),
-          start_(std::chrono::steady_clock::now())
+          start_(std::chrono::steady_clock::now()),
+          fault_(lim.faultCycle ? lim.faultCycle : kNever),
+          budget_(lim.maxCycles ? lim.maxCycles : kNever),
+          nextPoll_(lim.maxWallMs ? kWallPoll : kNever)
     {}
 
+    /** Earliest cycle at which check() can trip or poll. */
+    Cycle nextDue() const { return std::min({fault_, budget_, nextPoll_}); }
+
+    /**
+     * Trip the earliest threshold at or before @p now (the fault
+     * first on a tie) and report that threshold as the cycle: the
+     * clock only jumps when nothing issues, so the machine state at
+     * the threshold equals the state at the cycle the loop reached.
+     */
     void
-    check(Cycle cycle)
+    check(Cycle now)
     {
-        if (lim_.faultCycle != 0 && cycle >= lim_.faultCycle) {
+        if (fault_ <= now && fault_ <= budget_) {
             if (lim_.faultIsTimeout) {
                 throw SimTimeout("injected timeout (" + workload_ +
                                      ", step site, cycle " +
-                                     std::to_string(cycle) + ")",
-                                 cycle);
+                                     std::to_string(fault_) + ")",
+                                 fault_);
             }
             throw InjectedFault("injected fault (" + workload_ +
                                     ", step site, cycle " +
-                                    std::to_string(cycle) + ")",
-                                cycle);
+                                    std::to_string(fault_) + ")",
+                                fault_);
         }
-        if (lim_.maxCycles != 0 && cycle >= lim_.maxCycles) {
-            throw SimTimeout(
-                "cycle budget exceeded: " + workload_ + " reached " +
-                    std::to_string(cycle) + " of " +
-                    std::to_string(lim_.maxCycles) + " cycles",
-                cycle);
+        if (budget_ <= now) {
+            throw SimTimeout("cycle budget exceeded: " + workload_ +
+                                 " reached " + std::to_string(budget_) +
+                                 " cycles",
+                             budget_);
         }
-        if (lim_.maxWallMs != 0 && (++tick_ & 0x7ff) == 0) {
+        if (nextPoll_ <= now) {
+            nextPoll_ = now + kWallPoll;
             const auto elapsed =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     std::chrono::steady_clock::now() - start_)
@@ -62,17 +74,24 @@ class BudgetGuard
                     "wall-clock budget exceeded: " + workload_ +
                         " ran " + std::to_string(elapsed) + " ms (" +
                         std::to_string(lim_.maxWallMs) +
-                        " allowed) at cycle " + std::to_string(cycle),
-                    cycle);
+                        " allowed) at cycle " + std::to_string(now),
+                    now);
             }
         }
     }
 
   private:
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+    /** Every loop iteration advances the clock, so this also bounds
+     * the iterations between two wall-clock reads. */
+    static constexpr Cycle kWallPoll = 2048;
+
     const RunLimits &lim_;
     const std::string &workload_;
     std::chrono::steady_clock::time_point start_;
-    std::uint32_t tick_ = 0;
+    const Cycle fault_;
+    const Cycle budget_;
+    Cycle nextPoll_;
 };
 
 /** Wire threads into cores and the shared synchronization state. */
@@ -133,24 +152,21 @@ System::System(const HierarchyParams &hp, const TraceFile &trace,
 }
 
 SimStats
-System::run(EpochRecorder *rec, SimMode mode, const RunLimits &limits)
+System::run(EpochRecorder *rec, const RunLimits &limits)
 {
     OBS_PROFILE_SCOPE("sim.run");
     if (rec)
         rec->start(hier_.params());
-    const bool exact = mode == SimMode::Exact;
-    const bool guarded = limits.any();
     BudgetGuard guard(limits, workloadName_);
-    if (exact)
-        hier_.memory().setEventDriven(true);
+    const MemorySystem &mem = hier_.memory();
 
     // Event-driven loop: cores come off a lazy min-heap keyed on
     // their next ready cycle instead of being scanned every cycle.
-    // The visited-cycle sequence, per-cycle step order (ascending
-    // core id) and epoch sampling points are identical to
-    // runReference(): a cycle's eligible set is fixed before the
-    // first step of that cycle (wakes always land at now + 1), and a
-    // core issues if and only if its exact minReady_ cache is due.
+    // The visited-cycle sequence and per-cycle step order (ascending
+    // core id) are identical to runReference(): a cycle's eligible
+    // set is fixed before the first step of that cycle (wakes always
+    // land at now + 1), and a core issues if and only if its exact
+    // minReady_ cache is due.
     ReadyQueue rq(cores_.size());
     const auto fresh = [this](int id) {
         const Core &c = cores_[std::size_t(id)];
@@ -167,13 +183,22 @@ System::run(EpochRecorder *rec, SimMode mode, const RunLimits &limits)
     }
 
     Cycle cycle = 0;
+    // The next epoch boundary or watchdog threshold.  Together with
+    // the memory's own next event (read live: an access can re-arm a
+    // power-down timer) it is never later than the next scheduled
+    // event, so one compare per visited cycle suffices.
+    // A run whose last instruction retired before a threshold
+    // finished within it: the watchdogs trip only while cores are
+    // live.
+    const auto advance = [&](Cycle now) {
+        if (cores_left > 0)
+            guard.check(now);
+        return std::min(guard.nextDue(), advanceEventsTo(now, rec));
+    };
+    Cycle due = advance(cycle);
     std::vector<int> eligible;
     eligible.reserve(cores_.size());
     while (cores_left > 0) {
-        // One predictable branch per visited cycle; with default
-        // limits the loop body is unchanged.
-        if (guarded)
-            guard.check(cycle);
         rq.collect(cycle, fresh, eligible);
         if (!eligible.empty()) {
             for (const int id : eligible) {
@@ -195,55 +220,50 @@ System::run(EpochRecorder *rec, SimMode mode, const RunLimits &limits)
                 throwDeadlock(cycle);
             cycle = next;
         }
-
-        if (exact) {
-            advanceEventsTo(cycle, rec);
-        } else if (rec && rec->due(cycle)) {
-            OBS_EVENT(trace_, .name = "epoch", .cat = "sim", .ph = 'i',
-                      .ts = cycle, .argName = "index",
-                      .argValue = std::uint64_t(rec->samples().size()));
-            rec->close(cycle, totalInstructions(), hier_.counters(),
-                       hier_.llc(), hier_.dramCounters());
-        }
+        if (cycle >= std::min(due, mem.nextEvent()))
+            due = advance(cycle);
     }
     return finalize(cycle, rec);
 }
 
-void
+Cycle
 System::advanceEventsTo(Cycle now, EpochRecorder *rec)
 {
-    constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
-    for (;;) {
-        const Cycle mem = hier_.memory().nextEvent();
-        const Cycle boundary = rec ? rec->nextBoundary() : kMax;
-        if (mem <= now && mem < boundary) {
-            hier_.memory().fireEventsUpTo(mem);
-        } else if (rec && boundary <= now) {
-            // Close at the exact boundary cycle.  No instructions
-            // retire between the last visited cycle and @p now, so
-            // the instruction total is already the boundary's value.
+    MemorySystem &mem = hier_.memory();
+    if (rec) {
+        while (rec->nextBoundary() <= now) {
+            // Events strictly before a boundary land in its epoch.
+            // No instructions retire between the last visited cycle
+            // and @p now, so the instruction total is already the
+            // boundary's value.
+            const Cycle boundary = rec->nextBoundary();
+            mem.fireEventsUpTo(boundary - 1);
             OBS_EVENT(trace_, .name = "epoch", .cat = "sim", .ph = 'i',
                       .ts = boundary, .argName = "index",
                       .argValue = std::uint64_t(rec->samples().size()));
             rec->close(boundary, totalInstructions(), hier_.counters(),
                        hier_.llc(), hier_.dramCounters());
-        } else {
-            return;
         }
     }
+    mem.fireEventsUpTo(now);
+    return rec ? rec->nextBoundary() : std::numeric_limits<Cycle>::max();
 }
 
 SimStats
-System::runReference(EpochRecorder *rec)
+System::runReference(EpochRecorder *rec, const RunLimits &limits)
 {
     OBS_PROFILE_SCOPE("sim.run");
     if (rec)
         rec->start(hier_.params());
+    BudgetGuard guard(limits, workloadName_);
 
     Cycle cycle = 0;
+    guard.check(cycle);
+    advanceEventsTo(cycle, rec);
     for (;;) {
         bool all_done = true;
         bool issued = false;
+        bool live = false; // some core is still running after this pass
         // The jump target for the no-issue case is collected during
         // the same pass over the cores: when nothing issues, no wake
         // can have moved any core's O(1) minReady_ cache, so the
@@ -257,6 +277,7 @@ System::runReference(EpochRecorder *rec)
                 core.step(cycle, hier_, *sync_);
                 issued = true;
             }
+            live |= !core.done();
             next = std::min(next, core.nextReady());
         }
         if (all_done)
@@ -273,14 +294,11 @@ System::runReference(EpochRecorder *rec)
                 throwDeadlock(cycle);
             cycle = std::max(next, cycle + 1);
         }
-
-        if (rec && rec->due(cycle)) {
-            OBS_EVENT(trace_, .name = "epoch", .cat = "sim", .ph = 'i',
-                      .ts = cycle, .argName = "index",
-                      .argValue = std::uint64_t(rec->samples().size()));
-            rec->close(cycle, totalInstructions(), hier_.counters(),
-                       hier_.llc(), hier_.dramCounters());
-        }
+        // Uncached: every visited cycle checks and fires what is
+        // due, which is what run()'s cached deadline must reproduce.
+        if (live)
+            guard.check(cycle);
+        advanceEventsTo(cycle, rec);
     }
     return finalize(cycle, rec);
 }

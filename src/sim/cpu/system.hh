@@ -21,55 +21,30 @@ namespace archsim {
 class EpochRecorder;
 
 /**
- * Event semantics of a run.
- *
- * Golden reproduces the pinned golden observables byte-for-byte:
- * epochs close at the first *visited* cycle at or past their
- * boundary (the landing cycle when a time jump crosses it), and DRAM
- * refresh / power-down effects are applied lazily at access time.
- *
- * Exact instead fires scheduled events in time order while the clock
- * jumps: each crossed epoch boundary closes at its exact boundary
- * cycle (every full epoch is exactly interval cycles long), DRAM
- * refreshes fire at their due cycle even during idle gaps, and
- * power-down entries are counted when the idle timer expires rather
- * than when a later access observes the gap.  Physics are identical;
- * only boundary attribution differs, so Exact output is NOT
- * byte-comparable to the pinned goldens.
- */
-enum class SimMode : std::uint8_t { Golden, Exact };
-
-/**
  * Watchdog budgets (and the fault-injection hook) of one run.  All
  * limits default to "unlimited"; a System with default limits runs
  * byte-identically to one without the parameter.
  *
- * The cycle budget trips at the first *visited* simulated cycle at or
- * past maxCycles — a pure function of the deterministic simulation,
- * so a sweep converts runaway runs into TimedOut results at the same
- * cycle for any worker count.  The wall-clock budget is checked
- * coarsely (every few thousand scheduler iterations) and is
- * inherently machine-dependent; it exists to bound damage, not to be
- * reproducible.
+ * The cycle budget trips at exactly simulated cycle maxCycles if the
+ * run is still live then (one that ends at maxCycles fits) — a pure
+ * function of the deterministic simulation, so a sweep converts
+ * runaway runs into TimedOut results at the same cycle for any
+ * worker count.  The wall-clock budget is polled every few thousand
+ * simulated cycles and is inherently machine-dependent; it exists to
+ * bound damage, not to be reproducible.
  */
 struct RunLimits {
     Cycle maxCycles = 0;         ///< 0 = unlimited; trips SimTimeout
     std::uint64_t maxWallMs = 0; ///< 0 = unlimited; trips SimTimeout
 
     /**
-     * Deterministic fault injection (sim/resilience.hh): at the first
-     * visited cycle >= faultCycle the run raises InjectedFault (or
-     * SimTimeout when faultIsTimeout), exactly like a model bug or a
-     * hung run would at that point.  0 disables.
+     * Deterministic fault injection (sim/resilience.hh): at cycle
+     * faultCycle, exactly, the run raises InjectedFault (or SimTimeout
+     * when faultIsTimeout), as a model bug or a hung run would at that
+     * point.  0 disables.
      */
     Cycle faultCycle = 0;
     bool faultIsTimeout = false;
-
-    bool
-    any() const
-    {
-        return maxCycles != 0 || maxWallMs != 0 || faultCycle != 0;
-    }
 };
 
 /** Aggregated results of one simulation run. */
@@ -145,13 +120,18 @@ class System
      * given, counter deltas are sampled into it at every epoch
      * boundary (see sim/metrics.hh).
      *
-     * Event-driven: cores are stepped off a ready-queue instead of
-     * being scanned every cycle.  In SimMode::Golden (the default)
-     * observables are byte-identical to runReference() (same issue
-     * order, cycle progression, counters, epoch samples and trace
-     * events); SimMode::Exact additionally fires epoch-boundary and
-     * DRAM events at their exact cycles during time jumps.  A System
-     * can be run once; call either run() or runReference(), not both.
+     * Event semantics: every scheduled event fires at its exact
+     * cycle, even when the clock jumps over it because no core can
+     * issue.  Epoch boundaries close at multiples of the interval,
+     * DRAM refreshes and power-down entries fire when due (an event
+     * strictly before a boundary lands in that boundary's epoch, one
+     * at the boundary cycle in the next), and the watchdogs of
+     * @p limits trip at their threshold cycle.  The output is thus a
+     * pure function of simulated time, not of which cycles the loop
+     * visits.  Cores are stepped off a ready-queue instead of being
+     * scanned every cycle; observables are byte-identical to
+     * runReference().  A System can be run once; call either run()
+     * or runReference(), not both.
      *
      * @p limits arms the watchdogs: the run raises SimTimeout when a
      * budget expires and InjectedFault at a fault-injection site (see
@@ -160,15 +140,16 @@ class System
      * std::runtime_error.
      */
     SimStats run(EpochRecorder *rec = nullptr,
-                 SimMode mode = SimMode::Golden,
                  const RunLimits &limits = {});
 
     /**
      * Reference implementation: the original scan-every-core cycle
-     * loop, kept as the executable specification that run() is tested
-     * and benchmarked against.
+     * loop, which fires due events on every visited cycle instead of
+     * caching the next deadline.  Kept as the executable
+     * specification that run() is tested and benchmarked against.
      */
-    SimStats runReference(EpochRecorder *rec = nullptr);
+    SimStats runReference(EpochRecorder *rec = nullptr,
+                          const RunLimits &limits = {});
 
     CacheHierarchy &hierarchy() { return hier_; }
 
@@ -210,12 +191,13 @@ class System
     [[noreturn]] void throwDeadlock(Cycle cycle) const;
 
     /**
-     * SimMode::Exact: fire DRAM events and close epoch boundaries at
-     * or before @p now, in time order (an event strictly before a
+     * Close every epoch boundary and fire every DRAM event at or
+     * before @p now, in time order (an event strictly before a
      * boundary lands in that boundary's epoch; an event at the
      * boundary cycle lands in the next one).
+     * @return the next epoch boundary (~0 without a recorder)
      */
-    void advanceEventsTo(Cycle now, EpochRecorder *rec);
+    Cycle advanceEventsTo(Cycle now, EpochRecorder *rec);
 
     /** Close the run at @p end and assemble the aggregate statistics. */
     SimStats finalize(Cycle end, EpochRecorder *rec);

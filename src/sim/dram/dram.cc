@@ -19,6 +19,7 @@ MemorySystem::MemorySystem(const DramParams &p) : p_(p)
         c.banks.resize(p.banksPerChannel);
         c.nextRefresh = p.tRefi;
     }
+    updateNext();
 }
 
 void
@@ -52,32 +53,18 @@ MemorySystem::access(Addr addr, bool write, Cycle now)
     const int ch_idx = int(line % p_.nChannels);
     Channel &ch = channels_[ch_idx];
 
+    while (channelNext(ch) <= now)
+        fireNext(ch, ch_idx);
+
     Cycle wake = 0;
-    if (p_.powerDown) {
-        if (eventDriven_) {
-            // The entry was a scheduled event; only the exit happens
-            // at access time.  The powered-down interval and the
-            // wake latency match the lazy path (pdSince is exactly
-            // lastUse + powerDownAfter at entry).
-            if (ch.poweredDown) {
-                wake = p_.tPowerDownExit;
-                counters_.powerDownCycles += now - ch.pdSince;
-                ch.poweredDown = false;
-                OBS_EVENT(trace_, .name = "dram.pd_exit",
-                          .cat = "dram", .ph = 'i', .ts = now,
-                          .tid = std::uint32_t(ch_idx));
-            }
-        } else if (now > ch.lastUse + p_.powerDownAfter) {
-            // The rank dropped CKE after the idle threshold; pay the
-            // exit latency and book the powered-down interval.
-            wake = p_.tPowerDownExit;
-            ++counters_.powerDownEntries;
-            counters_.powerDownCycles += now - (ch.lastUse +
-                                                p_.powerDownAfter);
-            OBS_EVENT(trace_, .name = "dram.pd_exit", .cat = "dram",
-                      .ph = 'i', .ts = now,
-                      .tid = std::uint32_t(ch_idx));
-        }
+    if (ch.poweredDown) {
+        // The entry was a scheduled event; the access pays the exit
+        // latency and books the powered-down interval.
+        wake = p_.tPowerDownExit;
+        counters_.powerDownCycles += now - ch.pdSince;
+        ch.poweredDown = false;
+        OBS_EVENT(trace_, .name = "dram.pd_exit", .cat = "dram",
+                  .ph = 'i', .ts = now, .tid = std::uint32_t(ch_idx));
     }
     const std::uint64_t page =
         addr / (p_.pageBytes * std::uint64_t(p_.nChannels));
@@ -157,90 +144,69 @@ MemorySystem::access(Addr addr, bool write, Cycle now)
             .observe(double(total));
         lat_->dramQueue.observe(double(total - unloaded));
     }
+    // The access re-armed this channel's idle timer and may have
+    // advanced its refresh: either can move the earliest event.
+    updateNext();
     return done - now;
 }
 
 Cycle
-MemorySystem::nextEvent() const
+MemorySystem::channelNext(const Channel &ch) const
 {
-    if (!eventDriven_)
-        return std::numeric_limits<Cycle>::max();
     Cycle next = std::numeric_limits<Cycle>::max();
-    for (const Channel &ch : channels_) {
-        if (p_.tRefi > 0)
-            next = std::min(next, ch.nextRefresh);
-        if (p_.powerDown && !ch.poweredDown) {
-            // The idle timer expires strictly after powerDownAfter
-            // idle cycles (the lazy check is `now > lastUse + after`).
-            next = std::min(next,
-                            ch.lastUse + p_.powerDownAfter + 1);
-        }
-    }
+    if (p_.tRefi > 0)
+        next = ch.nextRefresh;
+    // The idle timer expires strictly after powerDownAfter idle
+    // cycles: the first cycle that observes the rank asleep is
+    // lastUse + powerDownAfter + 1.
+    if (p_.powerDown && !ch.poweredDown)
+        next = std::min(next, ch.lastUse + p_.powerDownAfter + 1);
     return next;
+}
+
+void
+MemorySystem::fireNext(Channel &ch, int chIdx)
+{
+    // Refresh first at equal times.
+    if (p_.tRefi > 0 && ch.nextRefresh <= channelNext(ch)) {
+        refreshUpTo(ch, chIdx, ch.nextRefresh);
+        return;
+    }
+    ch.poweredDown = true;
+    ch.pdSince = ch.lastUse + p_.powerDownAfter;
+    ++counters_.powerDownEntries;
+    OBS_EVENT(trace_, .name = "dram.pd_enter", .cat = "dram", .ph = 'i',
+              .ts = ch.pdSince, .tid = std::uint32_t(chIdx));
+}
+
+void
+MemorySystem::updateNext()
+{
+    next_ = std::numeric_limits<Cycle>::max();
+    for (const Channel &ch : channels_)
+        next_ = std::min(next_, channelNext(ch));
 }
 
 void
 MemorySystem::fireEventsUpTo(Cycle t)
 {
-    if (!eventDriven_)
-        return;
-    for (;;) {
-        Cycle when = std::numeric_limits<Cycle>::max();
-        int idx = -1;
-        bool is_refresh = false;
-        for (std::size_t i = 0; i < channels_.size(); ++i) {
-            const Channel &ch = channels_[i];
-            if (p_.tRefi > 0 && ch.nextRefresh < when) {
-                when = ch.nextRefresh;
-                idx = int(i);
-                is_refresh = true;
-            }
-            if (p_.powerDown && !ch.poweredDown) {
-                const Cycle entry =
-                    ch.lastUse + p_.powerDownAfter + 1;
-                if (entry < when) {
-                    when = entry;
-                    idx = int(i);
-                    is_refresh = false;
-                }
-            }
-        }
-        if (idx < 0 || when > t)
-            return;
-        Channel &ch = channels_[std::size_t(idx)];
-        if (is_refresh) {
-            refreshUpTo(ch, idx, when);
-        } else {
-            ch.poweredDown = true;
-            ch.pdSince = when - 1; // == lastUse + powerDownAfter
-            ++counters_.powerDownEntries;
-            OBS_EVENT(trace_, .name = "dram.pd_enter", .cat = "dram",
-                      .ph = 'i', .ts = ch.pdSince,
-                      .tid = std::uint32_t(idx));
-        }
+    while (next_ <= t) {
+        std::size_t idx = 0;
+        while (channelNext(channels_[idx]) != next_)
+            ++idx;
+        fireNext(channels_[idx], int(idx));
+        updateNext();
     }
 }
 
 void
 MemorySystem::finish(Cycle end)
 {
-    if (eventDriven_) {
-        fireEventsUpTo(end);
-        for (Channel &ch : channels_) {
-            if (ch.poweredDown) {
-                counters_.powerDownCycles += end - ch.pdSince;
-                ch.pdSince = end;
-            }
-        }
-        return;
-    }
-    if (!p_.powerDown)
-        return;
+    fireEventsUpTo(end);
     for (Channel &ch : channels_) {
-        if (end > ch.lastUse + p_.powerDownAfter) {
-            counters_.powerDownCycles +=
-                end - (ch.lastUse + p_.powerDownAfter);
-            ch.lastUse = end;
+        if (ch.poweredDown) {
+            counters_.powerDownCycles += end - ch.pdSince;
+            ch.pdSince = end;
         }
     }
 }

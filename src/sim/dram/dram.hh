@@ -70,42 +70,38 @@ class MemorySystem
     explicit MemorySystem(const DramParams &p);
 
     /**
-     * Timed 64B line access.
+     * Timed 64B line access.  The accessed channel's refreshes and
+     * power-down entry due at or before @p now fire first, so a bare
+     * MemorySystem driven only by accesses sees the same machine
+     * state as one whose events the system loop fires on time.  Other
+     * channels' events are left to the loop: @p now may lie ahead of
+     * its clock (a request issued past the LLC latency).
      * @return total latency in CPU cycles (queue + DRAM + transfer)
      */
     Cycle access(Addr addr, bool write, Cycle now);
 
     /**
-     * Account trailing idle time at the end of the simulation (so the
-     * power-down statistics cover the whole run).  In event-driven
-     * mode, pending refreshes and power-down entries up to @p end
-     * fire first.
+     * Fire every event up to @p end, then book the powered-down tail
+     * of each sleeping rank (so the power-down statistics cover the
+     * whole run).
      */
     void finish(Cycle end);
 
     /**
-     * Event-driven (SimMode::Exact) operation: refreshes and
-     * power-down entries become scheduled events the system loop
-     * fires in time order (nextEvent / fireEventsUpTo) instead of
-     * being checked-per-access side effects.  Off by default: the
-     * lazy catch-up path is what the pinned goldens record (it never
-     * fires refreshes after the last access of a run, and counts a
-     * power-down entry only when a later access observes the idle
-     * gap).
+     * Earliest pending scheduled event: the next refresh due, or the
+     * first cycle a rank's idle timer has expired (CKE dropped at
+     * lastUse + powerDownAfter); ~0 when nothing is pending.  Kept up
+     * to date by access() and fireEventsUpTo(), so a caller may cache
+     * min(this, its own deadlines) and re-read it after accesses.
      */
-    void setEventDriven(bool on) { eventDriven_ = on; }
-
-    /**
-     * Earliest pending scheduled event (next refresh due, or first
-     * cycle a rank's idle timer is observably expired); ~0 when
-     * event-driven mode is off or nothing is pending.
-     */
-    Cycle nextEvent() const;
+    Cycle nextEvent() const { return next_; }
 
     /**
      * Fire every scheduled event at or before @p t in time order
      * (refresh before power-down entry at equal times, lower channel
-     * first).  No-op when event-driven mode is off.
+     * first).  Refreshes fire at their tRefi multiples even across
+     * idle gaps, and a power-down entry is counted when the idle
+     * timer expires, not when a later access observes the gap.
      */
     void fireEventsUpTo(Cycle t);
 
@@ -142,17 +138,26 @@ class MemorySystem
         bool everActivated = false;
         Cycle lastUse = 0;     ///< for power-down accounting
         Cycle nextRefresh = 0; ///< next refresh due time (tRefi > 0)
-        bool poweredDown = false; ///< event-driven mode only
-        Cycle pdSince = 0;        ///< entry cycle while poweredDown
+        bool poweredDown = false;
+        Cycle pdSince = 0; ///< entry cycle while poweredDown
     };
 
-    /** Perform every refresh due by @p t on @p ch (lazy catch-up). */
+    /** Perform every refresh due by @p t on @p ch. */
     void refreshUpTo(Channel &ch, int chIdx, Cycle t);
+
+    /** @p ch's earliest pending event (see nextEvent()); ~0 if none. */
+    Cycle channelNext(const Channel &ch) const;
+
+    /** Fire @p ch's earliest pending event. */
+    void fireNext(Channel &ch, int chIdx);
+
+    /** Recompute next_ over all channels. */
+    void updateNext();
 
     DramParams p_;
     std::vector<Channel> channels_;
     DramCounters counters_;
-    bool eventDriven_ = false;
+    Cycle next_ = 0; ///< min channelNext() over the channels
     obs::TraceBuffer *trace_ = nullptr;
     LatencyStats *lat_ = nullptr;
 };

@@ -11,8 +11,9 @@
  * model) and stack temperature (through the section-4.3 thermal
  * model).
  *
- * Epochs are closed at the first simulated cycle at or after each
- * interval boundary, so their length is "at least interval cycles";
+ * Epochs close at their exact boundary cycles (multiples of the
+ * interval), even when the simulated clock jumps over one, so every
+ * epoch but the final partial one is exactly interval cycles long;
  * begin/end cycles are recorded so every rate normalizes by the actual
  * span.  The stream is a pure function of the (deterministic,
  * single-threaded) simulation, so it is bit-identical across
@@ -69,7 +70,7 @@ struct EpochSample {
 class EpochRecorder
 {
   public:
-    /** @param interval minimum epoch length in CPU cycles (> 0). */
+    /** @param interval epoch length in CPU cycles (> 0). */
     explicit EpochRecorder(Cycle interval);
 
     Cycle interval() const { return interval_; }
@@ -77,18 +78,7 @@ class EpochRecorder
     /** Bind to the simulated machine (called once by System::run). */
     void start(const HierarchyParams &hp);
 
-    /** True once the current epoch spans at least the interval. */
-    bool
-    due(Cycle now) const
-    {
-        return now >= epochStart_ + interval_;
-    }
-
-    /**
-     * The cycle at which the current epoch becomes due — the exact
-     * boundary an event-driven loop closes it at when a time jump
-     * crosses it (SimMode::Exact), rather than at the landing cycle.
-     */
+    /** The boundary cycle the current epoch closes at. */
     Cycle nextBoundary() const { return epochStart_ + interval_; }
 
     /**

@@ -193,12 +193,15 @@ FaultPlan::canonical() const
 
 std::string
 sweepFingerprint(std::uint64_t instr_per_thread, Cycle epoch_cycles,
-                 bool exact_events, bool thermal, Cycle max_cycles)
+                 bool thermal, Cycle max_cycles)
 {
     std::string s = "cactid-sweep-v1";
     s += "|instr=" + std::to_string(instr_per_thread);
     s += "|epoch=" + std::to_string(epoch_cycles);
-    s += "|exact=" + std::to_string(exact_events ? 1 : 0);
+    // Events fire at their exact cycles (the one simulation
+    // semantics); records keyed "exact=0" came from the retired
+    // visited-cycle semantics and re-run.
+    s += "|exact=1";
     // Thermal-on keys carry the thermal model's tag, so records
     // holding another model's temperatures never load; thermal-off
     // keys stay "thermal=0".

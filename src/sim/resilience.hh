@@ -54,10 +54,10 @@ struct RunError {
 };
 
 /**
- * Thrown by System::run when a RunLimits budget expires.  The cycle
- * is the first *visited* simulated cycle at or past the budget, so
- * it is a pure function of the (deterministic) simulation — equal
- * for any StudyRunner worker count.
+ * Thrown by System::run when a RunLimits budget expires.  For the
+ * cycle budget the cycle is exactly the budget, so it is a pure
+ * function of the (deterministic) simulation — equal for any
+ * StudyRunner worker count.
  */
 class SimTimeout : public std::runtime_error
 {
@@ -117,7 +117,7 @@ struct FaultSpec {
     std::size_t run = 0; ///< enumeration index within the sweep
     FaultSite site = FaultSite::Solve;
     FaultAction action = FaultAction::Throw;
-    Cycle cycle = 0; ///< Step site: fire at the first cycle >= this
+    Cycle cycle = 0; ///< Step site: fire at exactly this cycle
     /**
      * Attempts that observe the fault; attempts beyond this succeed.
      * The default (max) is a persistent fault; `x1` in the spec
@@ -175,8 +175,8 @@ struct FaultPlan {
  * another model re-run.
  */
 std::string sweepFingerprint(std::uint64_t instr_per_thread,
-                             Cycle epoch_cycles, bool exact_events,
-                             bool thermal, Cycle max_cycles);
+                             Cycle epoch_cycles, bool thermal,
+                             Cycle max_cycles);
 
 /**
  * Per-run checkpoint store: one `run-<hash>.ckpt` record

@@ -119,8 +119,6 @@ StudyRunner::execute(const std::string &config,
     LatencyStats lat;
     if (opts_.latencyHistograms)
         sys.setLatency(&lat);
-    const SimMode mode =
-        opts_.exactEvents ? SimMode::Exact : SimMode::Golden;
 
     *ph = "sim";
     RunLimits limits;
@@ -135,10 +133,10 @@ StudyRunner::execute(const std::string &config,
     }
     if (opts_.epochCycles > 0) {
         EpochRecorder rec(opts_.epochCycles);
-        r.stats = sys.run(&rec, mode, limits);
+        r.stats = sys.run(&rec, limits);
         r.epochs = rec.take();
     } else {
-        r.stats = sys.run(nullptr, mode, limits);
+        r.stats = sys.run(nullptr, limits);
     }
     if (opts_.trace) {
         r.traceDropped = trace.dropped(); // take() resets the count
@@ -274,8 +272,7 @@ std::string
 StudyRunner::fingerprint() const
 {
     std::string fp = sweepFingerprint(instr_, opts_.epochCycles,
-                                      opts_.exactEvents, opts_.thermal,
-                                      opts_.maxCycles);
+                                      opts_.thermal, opts_.maxCycles);
     // Many-core / directory knobs join the fingerprint only when set,
     // so checkpoints of default-geometry sweeps keep their old keys.
     const SparseDirParams def;

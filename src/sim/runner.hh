@@ -90,14 +90,6 @@ struct RunnerOptions {
     /** Epoch sampling interval in CPU cycles; 0 disables sampling. */
     Cycle epochCycles = 0;
 
-    /**
-     * Run the simulations in SimMode::Exact: epochs close at exact
-     * boundary cycles and DRAM refresh / power-down transitions fire
-     * as scheduled events.  Default off — golden captures pin the
-     * SimMode::Golden byte stream (see sim/cpu/system.hh).
-     */
-    bool exactEvents = false;
-
     /** Solve the stack temperature (per run and per epoch). */
     bool thermal = true;
     ThermalParams thermalParams;

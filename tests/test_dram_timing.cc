@@ -6,7 +6,10 @@
  * through tRRD, all-bank refresh blocking, and power-down exit
  * penalties.  Every expectation is computed by hand from the timing
  * parameters, so a regression in the command scheduler shows up as an
- * exact cycle diff.
+ * exact cycle diff.  Refresh and power-down entry are scheduled
+ * events: the same numbers must come out whether the events are fired
+ * on time (as the system loop does across idle jumps) or caught up by
+ * the next access.
  */
 
 #include <gtest/gtest.h>
@@ -129,7 +132,8 @@ TEST(DramTiming, RefreshClosesOpenRows)
     mem.access(kBank0Row0, false, 0);
     // Well after the refresh completed: no stall, but what would have
     // been a 43-cycle row hit is a full 73-cycle activate because the
-    // all-bank refresh closed the row.
+    // all-bank refresh closed the row.  The refresh is caught up by
+    // this access.
     EXPECT_EQ(mem.access(kBank0Row0, false, 1500), 73u);
     EXPECT_EQ(mem.counters().rowHits, 0u);
     EXPECT_EQ(mem.counters().refreshes, 1u);
@@ -154,9 +158,9 @@ TEST(DramTiming, PowerDownExitPenalty)
     p.tPowerDownExit = 12;
     MemorySystem mem(p);
     EXPECT_EQ(mem.access(kBank0Row0, false, 0), 73u);
-    // The channel went idle at 73 and dropped CKE at 133.  A row hit
-    // at 200 pays the exit latency: tController + exit + CL + tBurst
-    // = 8 + 12 + 30 + 5 = 55.
+    // The channel went idle at 73 and dropped CKE at 133; the entry is
+    // caught up by the next access.  A row hit at 200 pays the exit
+    // latency: tController + exit + CL + tBurst = 8 + 12 + 30 + 5 = 55.
     EXPECT_EQ(mem.access(kBank0Row0, false, 200), 55u);
     EXPECT_EQ(mem.counters().powerDownEntries, 1u);
     EXPECT_EQ(mem.counters().powerDownCycles, 67u); // 200 - 133
@@ -184,30 +188,10 @@ TEST(DramTiming, PowerDownDisabledCountsNothing)
     EXPECT_DOUBLE_EQ(mem.poweredDownFraction(100000), 0.0);
 }
 
-// --- SimMode::Exact event scheduling (setEventDriven).  The physics
-// must match the lazy tests above cycle for cycle; only *when* the
-// bookkeeping happens moves (to the scheduled event time).
-
-TEST(DramEvents, NextEventTracksRefreshAndPowerDownTimers)
-{
-    DramParams p = testParams();
-    p.tRefi = 1000;
-    p.tRfc = 120;
-    p.powerDown = true;
-    p.powerDownAfter = 60;
-    MemorySystem mem(p);
-    mem.setEventDriven(true);
-    // Fresh machine: the idle timer (from lastUse = 0) expires before
-    // the first refresh.  The lazy check is `now > lastUse + after`,
-    // so the earliest observing cycle is 61.
-    EXPECT_EQ(mem.nextEvent(), 61u);
-    mem.access(kBank0Row0, false, 0); // channel busy until 73
-    EXPECT_EQ(mem.nextEvent(), 134u); // 73 + 60 + 1
-    mem.fireEventsUpTo(134);
-    EXPECT_EQ(mem.counters().powerDownEntries, 1u);
-    // Powered down: only the refresh timer remains pending.
-    EXPECT_EQ(mem.nextEvent(), 1000u);
-}
+// --- Refresh and power-down entry fired on time (fireEventsUpTo, as
+// the system loop does across idle jumps).  The physics must match the
+// caught-up tests above cycle for cycle; only *when* the bookkeeping
+// happens moves (to the scheduled event time).
 
 TEST(DramEvents, RefreshFiresEagerlyDuringIdleGaps)
 {
@@ -215,7 +199,6 @@ TEST(DramEvents, RefreshFiresEagerlyDuringIdleGaps)
     p.tRefi = 1000;
     p.tRfc = 120;
     MemorySystem mem(p);
-    mem.setEventDriven(true);
     mem.access(kBank0Row0, false, 0);
     EXPECT_EQ(mem.counters().refreshes, 0u);
     // The simulation clock jumps over five refresh boundaries while
@@ -224,11 +207,12 @@ TEST(DramEvents, RefreshFiresEagerlyDuringIdleGaps)
     mem.fireEventsUpTo(5500);
     EXPECT_EQ(mem.counters().refreshes, 5u);
     EXPECT_EQ(mem.nextEvent(), 6000u);
-    // The access after the gap sees the same machine state as the
-    // lazy path would: the all-bank refresh closed the row, so this
-    // is a full 73-cycle activate, not a row hit.
+    // The access after the gap sees the same machine state as a
+    // caught-up access would: the all-bank refresh closed the row, so
+    // this is a full 73-cycle activate, not a row hit.
     EXPECT_EQ(mem.access(kBank0Row0, false, 5500), 73u);
     EXPECT_EQ(mem.counters().rowHits, 0u);
+    EXPECT_EQ(mem.counters().refreshes, 5u);
 }
 
 TEST(DramEvents, PowerDownEntryScheduledAtTimerExpiry)
@@ -238,17 +222,16 @@ TEST(DramEvents, PowerDownEntryScheduledAtTimerExpiry)
     p.powerDownAfter = 60;
     p.tPowerDownExit = 12;
     MemorySystem mem(p);
-    mem.setEventDriven(true);
     EXPECT_EQ(mem.access(kBank0Row0, false, 0), 73u);
     // CKE drops at 133 (lastUse + powerDownAfter); the scheduled
-    // entry event lands at 134, the first cycle the lazy check would
-    // observe it.  The entry is counted at entry time, not when a
+    // entry event lands at 134, the first cycle that observes the
+    // rank asleep.  The entry is counted at entry time, not when a
     // later access wakes the rank.
     EXPECT_EQ(mem.nextEvent(), 134u);
     mem.fireEventsUpTo(134);
     EXPECT_EQ(mem.counters().powerDownEntries, 1u);
     EXPECT_EQ(mem.counters().powerDownCycles, 0u); // booked at exit
-    // Same wake penalty and interval accounting as the lazy
+    // Same wake penalty and interval accounting as the caught-up
     // PowerDownExitPenalty test: 8 + 12 + 30 + 5 = 55.
     EXPECT_EQ(mem.access(kBank0Row0, false, 200), 55u);
     EXPECT_EQ(mem.counters().powerDownEntries, 1u);
@@ -261,17 +244,37 @@ TEST(DramEvents, FinishAccountsTrailingPoweredDownTail)
     p.powerDown = true;
     p.powerDownAfter = 60;
     MemorySystem mem(p);
-    mem.setEventDriven(true);
     mem.access(kBank0Row0, false, 0); // idle from 73, CKE drop at 133
+    EXPECT_EQ(mem.counters().powerDownEntries, 0u);
     mem.finish(1133);
-    // Identical numbers to the lazy PowerDownFractionCoversTrailingIdle
-    // test, but the entry fires as an event inside finish().
+    // Identical numbers to PowerDownFractionCoversTrailingIdle; the
+    // entry in the idle tail fires as an event inside finish().
     EXPECT_EQ(mem.counters().powerDownEntries, 1u);
     EXPECT_EQ(mem.counters().powerDownCycles, 1000u);
     EXPECT_DOUBLE_EQ(mem.poweredDownFraction(2000), 0.5);
 }
 
-TEST(DramEvents, StalledCoresJumpOverRefreshBoundariesIdentically)
+TEST(DramTiming, NextEventTracksRefreshAndPowerDownTimers)
+{
+    DramParams p = testParams();
+    p.tRefi = 1000;
+    p.tRfc = 120;
+    p.powerDown = true;
+    p.powerDownAfter = 60;
+    MemorySystem mem(p);
+    // Fresh machine: the idle timer (from lastUse = 0) expires before
+    // the first refresh; the earliest observing cycle is 61.
+    EXPECT_EQ(mem.nextEvent(), 61u);
+    mem.access(kBank0Row0, false, 0); // channel busy until 73
+    // The access re-armed the idle timer from its completion.
+    EXPECT_EQ(mem.nextEvent(), 134u); // 73 + 60 + 1
+    mem.fireEventsUpTo(134);
+    EXPECT_EQ(mem.counters().powerDownEntries, 1u);
+    // Powered down: only the refresh timer remains pending.
+    EXPECT_EQ(mem.nextEvent(), 1000u);
+}
+
+TEST(DramTiming, StalledCoresJumpOverRefreshBoundariesIdentically)
 {
     // Every thread is a chain of cold DRAM misses, so the scheduler's
     // clock repeatedly jumps tens of cycles while all cores stall;

@@ -1,13 +1,19 @@
 /**
  * @file
  * EpochRecorder edge cases: zero-length runs, runs shorter than one
- * epoch interval, the final partial-epoch flush, and duplicate closes.
+ * epoch interval, the final partial-epoch flush, and duplicate closes;
+ * plus the event semantics of System::run() against runReference():
+ * epoch boundaries, refreshes and power-down entries fire at their
+ * exact cycles even inside clock jumps.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "obs/export.hh"
 #include "sim/cpu/system.hh"
 #include "sim/metrics.hh"
 #include "sim/study.hh"
@@ -115,7 +121,7 @@ TEST_F(MetricsTest, FinalPartialEpochIsFlushedAndSamplesTile)
 
     ASSERT_GE(rec.samples().size(), 2u);
     // The samples tile [0, cycles) contiguously; every epoch but the
-    // final flush spans at least the interval.
+    // final flush spans exactly the interval.
     Cycle prev_end = 0;
     std::uint64_t instr = 0;
     for (std::size_t i = 0; i < rec.samples().size(); ++i) {
@@ -124,7 +130,7 @@ TEST_F(MetricsTest, FinalPartialEpochIsFlushedAndSamplesTile)
         EXPECT_EQ(e.beginCycle, prev_end);
         EXPECT_GT(e.endCycle, e.beginCycle);
         if (i + 1 < rec.samples().size()) {
-            EXPECT_GE(e.cycles(), interval);
+            EXPECT_EQ(e.cycles(), interval);
         }
         prev_end = e.endCycle;
         instr += e.instructions;
@@ -138,15 +144,17 @@ namespace {
 /**
  * One core, one thread, every instruction a cold DRAM miss: the
  * scheduler's clock advances almost exclusively by multi-cycle jumps,
- * so with a small interval nearly every epoch boundary falls inside a
- * jump rather than on a visited cycle.
+ * so with a small interval nearly every epoch boundary, refresh and
+ * power-down entry falls inside a jump rather than on a visited cycle.
  */
 System
-stallSkipper(Cycle refi = 0)
+stallSkipper(Cycle refi = 0, Cycle pd_after = 0)
 {
     HierarchyParams hp;
     hp.dram.tRefi = refi;
     hp.dram.tRfc = refi ? 30 : 0;
+    hp.dram.powerDown = pd_after != 0;
+    hp.dram.powerDownAfter = pd_after;
     WorkloadParams w;
     w.name = "stallskip";
     w.memFrac = 1.0;
@@ -158,13 +166,132 @@ stallSkipper(Cycle refi = 0)
     return System(hp, w, 200, 1, 1);
 }
 
+/** The trace in emission order, as bytes. */
+std::string
+traceBytes(const obs::TraceBuffer &t)
+{
+    std::ostringstream os;
+    obs::TraceMeta meta;
+    meta.dropped = t.dropped();
+    obs::writeChromeTrace(os, t.events(), meta);
+    return os.str();
+}
+
+/** Every raw and derived field of two epoch streams is equal. */
+void
+expectSameSamples(const std::vector<EpochSample> &a,
+                  const std::vector<EpochSample> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const EpochSample &x = a[i];
+        const EpochSample &y = b[i];
+        SCOPED_TRACE("epoch " + std::to_string(i));
+        EXPECT_EQ(x.index, y.index);
+        EXPECT_EQ(x.beginCycle, y.beginCycle);
+        EXPECT_EQ(x.endCycle, y.endCycle);
+        EXPECT_EQ(x.instructions, y.instructions);
+        EXPECT_EQ(x.l1Reads, y.l1Reads);
+        EXPECT_EQ(x.l1Writes, y.l1Writes);
+        EXPECT_EQ(x.l2Reads, y.l2Reads);
+        EXPECT_EQ(x.l2Writes, y.l2Writes);
+        EXPECT_EQ(x.l2Misses, y.l2Misses);
+        EXPECT_EQ(x.xbarTransfers, y.xbarTransfers);
+        EXPECT_EQ(x.llcReads, y.llcReads);
+        EXPECT_EQ(x.llcWrites, y.llcWrites);
+        EXPECT_EQ(x.llcHits, y.llcHits);
+        EXPECT_EQ(x.llcMisses, y.llcMisses);
+        EXPECT_EQ(x.dramActivates, y.dramActivates);
+        EXPECT_EQ(x.dramReads, y.dramReads);
+        EXPECT_EQ(x.dramWrites, y.dramWrites);
+        EXPECT_EQ(x.dramRowHits, y.dramRowHits);
+        EXPECT_EQ(x.dramBusBytes, y.dramBusBytes);
+        EXPECT_EQ(x.poweredDownFraction, y.poweredDownFraction);
+    }
+}
+
+/** Every DRAM counter of two runs is equal. */
+void
+expectSameDram(const SimStats &a, const SimStats &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.dram.activates, b.dram.activates);
+    EXPECT_EQ(a.dram.reads, b.dram.reads);
+    EXPECT_EQ(a.dram.writes, b.dram.writes);
+    EXPECT_EQ(a.dram.rowHits, b.dram.rowHits);
+    EXPECT_EQ(a.dram.busBytes, b.dram.busBytes);
+    EXPECT_EQ(a.dram.powerDownEntries, b.dram.powerDownEntries);
+    EXPECT_EQ(a.dram.powerDownCycles, b.dram.powerDownCycles);
+    EXPECT_EQ(a.dram.refreshes, b.dram.refreshes);
+    EXPECT_EQ(a.memPoweredDownFraction, b.memPoweredDownFraction);
+}
+
 } // namespace
 
-TEST(EpochRecorder, BoundaryInsideASkipClosesAtLandingCycleInGolden)
+TEST(EpochRecorder, RunMatchesReferenceOnEveryEventKind)
 {
-    // SimMode::Golden pins the historical byte stream: a boundary
-    // crossed mid-jump closes at the landing cycle, exactly as the
-    // reference loop does.  The two sample streams must be identical.
+    // run() caches the next due cycle (epoch boundary, watchdog
+    // threshold, DRAM event); runReference() fires what is due on
+    // every visited cycle.  With epochs, refresh, power-down and the
+    // watchdogs all armed, the epoch samples, DRAM counters and the
+    // trace (in emission order) must match byte for byte.
+    const Cycle interval = 200;
+    RunLimits limits;
+    limits.maxCycles = 1'000'000;
+    limits.maxWallMs = 3'600'000;
+    System ev = stallSkipper(90, 25);
+    System ref = stallSkipper(90, 25);
+    obs::TraceBuffer ta(1 << 16);
+    obs::TraceBuffer tb(1 << 16);
+    ev.setTrace(&ta);
+    ref.setTrace(&tb);
+    EpochRecorder ra(interval);
+    EpochRecorder rb(interval);
+    const SimStats a = ev.run(&ra, limits);
+    const SimStats b = ref.runReference(&rb, limits);
+    EXPECT_LT(a.cycles, limits.maxCycles);
+    EXPECT_GT(a.dram.refreshes, 0u);
+    EXPECT_GT(a.dram.powerDownEntries, 0u);
+    ASSERT_GE(ra.samples().size(), 10u);
+    expectSameDram(a, b);
+    expectSameSamples(ra.samples(), rb.samples());
+    ASSERT_EQ(ta.dropped(), 0u);
+    EXPECT_EQ(traceBytes(ta), traceBytes(tb));
+}
+
+TEST(EpochRecorder, AccessRearmingPowerDownBeforeBoundaryFiresOnTime)
+{
+    // One epoch boundary far away is the cached deadline; every DRAM
+    // access re-arms the channel's idle timer to well before it.  If
+    // run() kept the deadline it computed before the access, the
+    // power-down entries would fire late — inside the next access or
+    // at the boundary — and the trace's emission order would differ
+    // from the reference loop's.
+    const Cycle interval = 1 << 20;
+    System ev = stallSkipper(0, 10);
+    System ref = stallSkipper(0, 10);
+    obs::TraceBuffer ta(1 << 16);
+    obs::TraceBuffer tb(1 << 16);
+    ev.setTrace(&ta);
+    ref.setTrace(&tb);
+    EpochRecorder ra(interval);
+    EpochRecorder rb(interval);
+    const SimStats a = ev.run(&ra);
+    const SimStats b = ref.runReference(&rb);
+    EXPECT_LT(a.cycles, interval);
+    EXPECT_GT(a.dram.powerDownEntries, 10u);
+    expectSameDram(a, b);
+    expectSameSamples(ra.samples(), rb.samples());
+    ASSERT_EQ(ta.dropped(), 0u);
+    EXPECT_EQ(traceBytes(ta), traceBytes(tb));
+}
+
+TEST(EpochRecorder, ExactModeClosesEveryEpochOnItsBoundary)
+{
+    // Boundaries are scheduled events: every full epoch is exactly
+    // `interval` cycles even when the clock jumps over the boundary,
+    // and the reference loop agrees on every sample.
     const Cycle interval = 256;
     System ev = stallSkipper();
     System ref = stallSkipper();
@@ -173,38 +300,8 @@ TEST(EpochRecorder, BoundaryInsideASkipClosesAtLandingCycleInGolden)
     const SimStats a = ev.run(&ra);
     const SimStats b = ref.runReference(&rb);
     EXPECT_EQ(a.cycles, b.cycles);
-    ASSERT_EQ(ra.samples().size(), rb.samples().size());
-    ASSERT_GE(ra.samples().size(), 10u);
-    bool off_boundary = false;
-    for (std::size_t i = 0; i < ra.samples().size(); ++i) {
-        const EpochSample &ea = ra.samples()[i];
-        const EpochSample &eb = rb.samples()[i];
-        EXPECT_EQ(ea.beginCycle, eb.beginCycle) << "epoch " << i;
-        EXPECT_EQ(ea.endCycle, eb.endCycle) << "epoch " << i;
-        EXPECT_EQ(ea.instructions, eb.instructions) << "epoch " << i;
-        EXPECT_EQ(ea.dramReads, eb.dramReads) << "epoch " << i;
-        off_boundary |= ea.endCycle % interval != 0;
-    }
-    // At least one boundary actually fell inside a jump (otherwise
-    // this test exercises nothing).
-    EXPECT_TRUE(off_boundary);
-}
-
-TEST(EpochRecorder, ExactModeClosesEveryEpochOnItsBoundary)
-{
-    // SimMode::Exact schedules the boundary as an event: every full
-    // epoch is exactly `interval` cycles even when the clock jumps
-    // over the boundary.  Totals (instructions, end cycle) still
-    // match Golden — only the attribution of deltas to epochs moves.
-    const Cycle interval = 256;
-    System ex = stallSkipper();
-    System go = stallSkipper();
-    EpochRecorder ra(interval);
-    EpochRecorder rb(interval);
-    const SimStats a = ex.run(&ra, SimMode::Exact);
-    const SimStats b = go.run(&rb, SimMode::Golden);
-    EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
+    expectSameSamples(ra.samples(), rb.samples());
     ASSERT_GE(ra.samples().size(), 10u);
     std::uint64_t instr = 0;
     Cycle prev_end = 0;
@@ -226,23 +323,21 @@ TEST(EpochRecorder, ExactModeBoundariesWithRefreshEventsInterleave)
 {
     // Both DRAM refreshes and epoch boundaries are scheduled events;
     // crossing several of each in one jump must close epochs at exact
-    // boundaries while the refresh counters stay physical (same total
-    // refreshes as the golden run).
+    // boundaries, and refreshes falling due in the idle tail after
+    // the last access still fire, in both loops alike.
     const Cycle interval = 200;
-    System ex = stallSkipper(90);
-    System go = stallSkipper(90);
+    System ev = stallSkipper(90);
+    System ref = stallSkipper(90);
     EpochRecorder ra(interval);
     EpochRecorder rb(interval);
-    const SimStats a = ex.run(&ra, SimMode::Exact);
-    const SimStats b = go.run(&rb, SimMode::Golden);
+    const SimStats a = ev.run(&ra);
+    const SimStats b = ref.runReference(&rb);
     EXPECT_GT(a.dram.refreshes, 0u);
-    EXPECT_EQ(a.cycles, b.cycles);
-    // Exact mode also fires refreshes that fall due in the idle tail
-    // between the last DRAM access and the end of the run; the lazy
-    // path only ever observes a refresh at the next access, so Exact
-    // may count a refresh or two more — never fewer.
-    EXPECT_GE(a.dram.refreshes, b.dram.refreshes);
-    EXPECT_LE(a.dram.refreshes - b.dram.refreshes, 2u);
+    // Every refresh due by the end of the run fired, on both
+    // channels.
+    EXPECT_EQ(a.dram.refreshes, 2 * (a.cycles / 90));
+    expectSameDram(a, b);
+    expectSameSamples(ra.samples(), rb.samples());
     for (std::size_t i = 0; i + 1 < ra.samples().size(); ++i) {
         EXPECT_EQ(ra.samples()[i].endCycle, Cycle(i + 1) * interval)
             << "epoch " << i;

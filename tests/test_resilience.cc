@@ -403,7 +403,7 @@ TEST_F(ResilienceTest, CycleBudgetTripsDeterministically)
     for (const RunResult &r : ra) {
         EXPECT_EQ(r.status, RunStatus::TimedOut);
         EXPECT_EQ(r.error.phase, "sim");
-        EXPECT_GE(r.error.cycle, 5000u);
+        EXPECT_EQ(r.error.cycle, 5000u);
     }
 
     RunnerOptions pooled = serial;
@@ -413,6 +413,25 @@ TEST_F(ResilienceTest, CycleBudgetTripsDeterministically)
     ASSERT_EQ(ra.size(), rb.size());
     for (std::size_t i = 0; i < ra.size(); ++i)
         EXPECT_EQ(ra[i].error.cycle, rb[i].error.cycle) << i;
+}
+
+TEST_F(ResilienceTest, StepFaultInsideAClockJumpTripsAtItsExactCycle)
+{
+    // No core of run 1 (ft.B on cm_dram_ed) issues in cycles
+    // 3001..3069, nor of run 3 (cg.C on cm_dram_ed) in 3002..3012:
+    // the clock jumps over both thresholds.  The machine state at a
+    // threshold equals the state where the jump lands, so the fault
+    // reports the threshold itself, not the landing cycle.
+    RunnerOptions opts = smallSweep(1);
+    opts.faultPlan = FaultPlan::parse("1@step:3001,3@timeout:3002");
+    const std::vector<RunResult> runs = StudyRunner(*study_, opts).runAll();
+    ASSERT_EQ(runs.size(), 4u);
+    EXPECT_EQ(runs[1].status, RunStatus::Failed);
+    EXPECT_EQ(runs[1].error.cycle, 3001u);
+    EXPECT_NE(runs[1].error.message.find("cycle 3001)"), std::string::npos)
+        << runs[1].error.message;
+    EXPECT_EQ(runs[3].status, RunStatus::TimedOut);
+    EXPECT_EQ(runs[3].error.cycle, 3002u);
 }
 
 TEST_F(ResilienceTest, TransientFaultRecoversUnderRetry)
@@ -526,48 +545,58 @@ TEST_F(ResilienceTest, ResumedSweepIsByteIdenticalToUninterrupted)
 
 TEST_F(ResilienceTest, ThermalModelChangeReRunsOnlyThermalOnRecords)
 {
-    for (const bool thermal : {true, false}) {
-        RunnerOptions opts = smallSweep(2);
-        opts.thermal = thermal;
-        const std::string dir =
-            tempDir(thermal ? "ckpt_thermal_on" : "ckpt_thermal_off");
-        // The sweep key as written before thermal-on keys carried the
-        // thermal model's tag.
-        const std::string old_fp =
-            std::string("cactid-sweep-v1|instr=3000|epoch=2000|exact=0") +
-            "|thermal=" + (thermal ? "1" : "0") + "|maxcycles=0";
-        {
-            CheckpointStore old(dir, old_fp);
-            std::string err;
-            ASSERT_TRUE(old.ensureDir(&err)) << err;
-            RunnerOptions first = opts;
-            first.onRunComplete = [&old](std::size_t, const RunResult &r) {
-                std::string save_err;
-                ASSERT_TRUE(old.save(r, &save_err)) << save_err;
-            };
-            StudyRunner(*study_, first).runAll();
-        }
+    // Sweep keys as written before thermal-on keys carried the thermal
+    // model's tag.  Under "exact=1", the event semantics in use, only
+    // the thermal-on records are alien; "exact=0" records hold epochs
+    // closed at visited cycles, a retired semantics, and all re-run.
+    for (const bool exact : {true, false}) {
+        for (const bool thermal : {true, false}) {
+            RunnerOptions opts = smallSweep(2);
+            opts.thermal = thermal;
+            const std::string dir =
+                tempDir(std::string("ckpt_thermal_") +
+                        (thermal ? "on" : "off") + (exact ? "" : "_exact0"));
+            const std::string old_fp =
+                std::string("cactid-sweep-v1|instr=3000|epoch=2000") +
+                "|exact=" + (exact ? "1" : "0") +
+                "|thermal=" + (thermal ? "1" : "0") + "|maxcycles=0";
+            {
+                CheckpointStore old(dir, old_fp);
+                std::string err;
+                ASSERT_TRUE(old.ensureDir(&err)) << err;
+                RunnerOptions first = opts;
+                first.onRunComplete = [&old](std::size_t,
+                                             const RunResult &r) {
+                    std::string save_err;
+                    ASSERT_TRUE(old.save(r, &save_err)) << save_err;
+                };
+                StudyRunner(*study_, first).runAll();
+            }
 
-        RunnerOptions second = opts;
-        std::atomic<int> executed{0};
-        second.tweakHierarchy = [&executed](const std::string &,
-                                            HierarchyParams &) {
-            ++executed;
-        };
-        const std::string fp = StudyRunner(*study_, second).fingerprint();
-        EXPECT_EQ(fp == old_fp, !thermal) << fp;
-        const CheckpointStore store(dir, fp);
-        second.reuseRun = [store](std::size_t, const std::string &config,
-                                  const std::string &workload,
-                                  RunResult &out) {
-            return store.load(config, workload, out) ==
-                   CheckpointStore::Load::Loaded;
-        };
-        const std::string resumed = sweepJson(*study_, second);
-        // Thermal-on: every old record is alien and re-runs.
-        // Thermal-off: the key is unchanged and every record loads.
-        EXPECT_EQ(executed.load(), thermal ? 4 : 0)
-            << "thermal=" << thermal;
-        EXPECT_EQ(resumed, sweepJson(*study_, opts));
+            RunnerOptions second = opts;
+            std::atomic<int> executed{0};
+            second.tweakHierarchy = [&executed](const std::string &,
+                                                HierarchyParams &) {
+                ++executed;
+            };
+            const std::string fp =
+                StudyRunner(*study_, second).fingerprint();
+            const bool same_key = exact && !thermal;
+            EXPECT_EQ(fp == old_fp, same_key) << fp;
+            const CheckpointStore store(dir, fp);
+            second.reuseRun = [store](std::size_t,
+                                      const std::string &config,
+                                      const std::string &workload,
+                                      RunResult &out) {
+                return store.load(config, workload, out) ==
+                       CheckpointStore::Load::Loaded;
+            };
+            const std::string resumed = sweepJson(*study_, second);
+            // An alien key re-runs every record; an unchanged key
+            // loads every record.
+            EXPECT_EQ(executed.load(), same_key ? 0 : 4)
+                << "exact=" << exact << " thermal=" << thermal;
+            EXPECT_EQ(resumed, sweepJson(*study_, opts));
+        }
     }
 }

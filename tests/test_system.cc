@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "sim/cpu/system.hh"
+#include "sim/resilience.hh"
 #include "sim/workload/trace_file.hh"
 
 namespace {
@@ -40,6 +41,32 @@ computeBound()
     w.barrierEvery = 0;
     w.lockRate = 0.0;
     return w;
+}
+
+TEST(System, CycleBudgetTripsOnlyWhileTheRunIsLive)
+{
+    // A run ending at cycle N (its last instruction retired at N - 1)
+    // fits a budget of N; a budget of N - 1 trips at exactly N - 1.
+    // Both loops agree.
+    const Cycle end =
+        System(tinySystem(), computeBound(), 500, 2, 2).run().cycles;
+    for (const bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "runReference" : "run");
+        const auto runWith = [&](Cycle budget) {
+            RunLimits lim;
+            lim.maxCycles = budget;
+            System sys(tinySystem(), computeBound(), 500, 2, 2);
+            return reference ? sys.runReference(nullptr, lim)
+                             : sys.run(nullptr, lim);
+        };
+        EXPECT_EQ(runWith(end).cycles, end);
+        try {
+            runWith(end - 1);
+            ADD_FAILURE() << "budget " << end - 1 << " did not trip";
+        } catch (const SimTimeout &e) {
+            EXPECT_EQ(e.atCycle, end - 1);
+        }
+    }
 }
 
 TEST(System, RunsToCompletion)

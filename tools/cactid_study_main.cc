@@ -94,10 +94,6 @@ printHelp()
         "  --csv FILE         write per-epoch metrics CSV (- for stdout)\n"
         "  --summary-csv FILE write per-run aggregate CSV (- for stdout)\n"
         "  --no-thermal       skip stack-temperature solves\n"
-        "  --exact-events     close epochs at exact boundary cycles\n"
-        "                     and fire DRAM refresh/power-down as\n"
-        "                     scheduled events (output is NOT\n"
-        "                     comparable to the pinned goldens)\n"
         "  --table3           print the Table-3 projections first\n"
         "  --quiet            suppress the aggregate table\n"
         "  --trace FILE       write simulator events as Chrome trace\n"
@@ -134,8 +130,8 @@ printHelp()
         "                     re-run missing/failed; merged output is\n"
         "                     byte-identical to an uninterrupted sweep\n"
         "  --max-cycles N     per-run simulated-cycle budget; a run\n"
-        "                     over budget lands as timed_out at a\n"
-        "                     deterministic cycle (0 = unlimited)\n"
+        "                     over budget lands as timed_out at\n"
+        "                     exactly cycle N (0 = unlimited)\n"
         "  --max-wall-ms N    per-run wall-clock budget in ms\n"
         "                     (machine-dependent; 0 = unlimited)\n"
         "  --retry N          total attempts per failed run\n"
@@ -202,7 +198,6 @@ struct CliArgs {
     bool resume = false;
     bool profile = false;
     bool thermal = true;
-    bool exactEvents = false;
     bool table3 = false;
     bool quiet = false;
     bool version = false;
@@ -309,8 +304,6 @@ parseArgs(int argc, char **argv)
             a.version = true;
         else if (!std::strcmp(arg, "--no-thermal"))
             a.thermal = false;
-        else if (!std::strcmp(arg, "--exact-events"))
-            a.exactEvents = true;
         else if (!std::strcmp(arg, "--table3"))
             a.table3 = true;
         else if (!std::strcmp(arg, "--quiet"))
@@ -502,7 +495,6 @@ main(int argc, char **argv)
         opts.instrPerThread = args.instr;
         opts.epochCycles = args.epoch;
         opts.thermal = args.thermal;
-        opts.exactEvents = args.exactEvents;
         opts.configs = splitList(args.configs);
         opts.workloads = splitList(args.workloads);
         opts.trace = !args.tracePath.empty();
